@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check check bench bench-all bench-compare bench-baseline soak serve profile clean
+.PHONY: all build test race vet fmt-check perfbench-check check bench bench-all bench-compare bench-baseline soak serve profile clean
 
 all: build vet test
 
@@ -29,9 +29,15 @@ fmt-check:
 	@files=$$(gofmt -l .); if [ -n "$$files" ]; then \
 		echo "gofmt needed on:"; echo "$$files"; exit 1; fi
 
-# check is the pre-merge gate: vet, gofmt, the full suite, and
-# race-mode runs of the concurrent layers (RACE_PKGS).
-check: vet fmt-check test race
+# perfbench-check vets and tests the benchmark harness. perfbench/ is
+# its own Go module (it builds against this one through a replace
+# directive), so the root ./... never compiles it.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
+
+# check is the pre-merge gate: vet, gofmt, the full suite, race-mode
+# runs of the concurrent layers (RACE_PKGS), and the benchmark harness.
+check: vet fmt-check test race perfbench-check
 
 # bench runs the tier-1 headline benchmarks and records each as a
 # go test -json stream, for before/after comparisons across changes.

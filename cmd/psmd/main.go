@@ -18,22 +18,25 @@
 //
 // Endpoints (see internal/server/http.go for the wire formats):
 //
-//	POST   /sessions                create a session (program in body)
-//	GET    /sessions                list sessions
-//	GET    /sessions/{id}           session stats
-//	DELETE /sessions/{id}           delete a session
-//	POST   /sessions/{id}/changes   batched assert/retract changes
-//	POST   /sessions/{id}/run       run N recognize-act cycles
-//	GET    /sessions/{id}/conflicts conflict set (LEX order)
-//	GET    /sessions/{id}/wm        working memory (?class= filters)
-//	GET    /sessions/{id}/trace     recent cycle spans (survives deletion)
-//	GET    /sessions/{id}/profile   hot-node profile (?top= truncates)
-//	GET    /metrics                 serving metrics, text exposition
-//	GET    /statusz                 human-readable session table
-//	GET    /healthz                 liveness
-//	GET    /readyz                  readiness (503 while recovering or draining)
-//	GET    /v1/cluster/status       membership, sessions, replication lag (cluster mode)
-//	GET    /debug/pprof/...         runtime profiles (disable with -no-pprof)
+//	POST   /v1/sessions                create a session (program in body)
+//	GET    /v1/sessions                list sessions
+//	GET    /v1/sessions/{id}           session stats
+//	DELETE /v1/sessions/{id}           delete a session
+//	POST   /v1/sessions/{id}/changes   batched assert/retract changes
+//	POST   /v1/sessions/{id}/run       run N recognize-act cycles
+//	POST   /v1/sessions/{id}/stream    ingest NDJSON event batches (TTL'd facts)
+//	GET    /v1/sessions/{id}/conflicts conflict set (LEX order)
+//	GET    /v1/sessions/{id}/wm        working memory (?class= filters)
+//	GET    /v1/sessions/{id}/trace     recent cycle spans (survives deletion)
+//	GET    /v1/sessions/{id}/profile   hot-node profile (?top= truncates)
+//	GET    /v1/sessions/{id}/loss      loss-factor accounting (§6 decomposition)
+//	POST   /v1/sessions/{id}/snapshot  force a durable checkpoint
+//	GET    /metrics                    serving metrics, text exposition
+//	GET    /statusz                    human-readable session table
+//	GET    /healthz                    liveness
+//	GET    /readyz                     readiness (503 while recovering or draining)
+//	GET    /v1/cluster/status          membership, sessions, replication lag (cluster mode)
+//	GET    /debug/pprof/...            runtime profiles (disable with -no-pprof)
 //
 // Every request carries a trace ID (X-Request-Id header, generated when
 // absent) that is echoed in the response, logged on the request line,
@@ -42,11 +45,12 @@
 // Cluster mode (see internal/cluster): give every node an identity and
 // the full static peer list, and sessions place themselves across the
 // fleet by consistent hashing, replicate their WALs to followers, and
-// fail over when a node dies:
+// fail over when a node dies. A request that reaches a node which does
+// not own its session is proxied to the owner:
 //
 //	psmd -addr :8080 -data-dir /var/lib/psmd \
 //	     -node a -peers a=http://10.0.0.1:8080,b=http://10.0.0.2:8080,c=http://10.0.0.3:8080 \
-//	     -replicas 2 -forward
+//	     -replicas 2
 //
 // SIGTERM on a cluster node drains: it stops accepting new work
 // (/readyz turns 503), hands every live session to its ring successor
@@ -84,7 +88,6 @@ func main() {
 	maxWMEs := flag.Int("max-wmes", 0, "default per-session working-memory quota (0 = unlimited)")
 	maxCycles := flag.Int("max-cycles", 0, "default per-session cycles-per-run quota (0 = unlimited)")
 	workers := flag.Int("workers", 0, "default parallel-matcher workers per session (0 = GOMAXPROCS)")
-	steal := flag.Bool("steal", true, "enable work stealing in parallel-matcher schedulers")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 	logFormat := flag.String("log-format", "text", "structured log format (text|json)")
 	logLevel := flag.String("log-level", "info", "minimum log level (debug|info|warn|error)")
@@ -98,7 +101,6 @@ func main() {
 	nodeID := flag.String("node", "", "this node's ID in the cluster (requires -peers)")
 	peersFlag := flag.String("peers", "", "static cluster membership: comma-separated id=url pairs including this node")
 	replicas := flag.Int("replicas", 2, "copies of each session (owner + followers) in cluster mode")
-	forward := flag.Bool("forward", false, "proxy misrouted requests to the owner instead of answering 307")
 	heartbeat := flag.Duration("heartbeat", time.Second, "cluster heartbeat interval")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Usage = func() {
@@ -153,7 +155,6 @@ func main() {
 			Self:      *nodeID,
 			Peers:     peers,
 			Replicas:  *replicas,
-			Forward:   *forward,
 			Heartbeat: *heartbeat,
 			Logger:    logger,
 			Version:   version,
@@ -173,7 +174,6 @@ func main() {
 			MaxCyclesPerRequest: *maxCycles,
 		},
 		DefaultWorkers: *workers,
-		NoSteal:        !*steal,
 		Logger:         logger,
 		TraceDepth:     *traceDepth,
 		SlowCycle:      *slowCycle,
@@ -204,15 +204,17 @@ func main() {
 	}
 	httpSrv := &http.Server{Addr: *addr, Handler: handler}
 
+	// Catch signals before the listener opens: once /readyz can answer
+	// 200, SIGTERM must drain, never kill the process undrained.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	logger.Info("listening", "addr", *addr, "pprof", !*noPprof,
 		"slow_cycle", *slowCycle, "log_format", *logFormat,
 		"data_dir", *dataDir, "fsync", fsync.String(),
 		"version", version, "node", *nodeID)
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 
 	select {
 	case err := <-errCh:

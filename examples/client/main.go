@@ -59,7 +59,7 @@ func main() {
 	guests := flag.Int("guests", 8, "manners guests per session (even)")
 	batch := flag.Int("batch", 8, "working-memory changes per POST")
 	chunk := flag.Int("chunk", 64, "recognize-act cycles per run request")
-	matcher := flag.String("matcher", "", "matcher per session (rete, parallel-rete, treat, ...)")
+	matcher := flag.String("matcher", "", "matcher per session (rete or parallel-rete; empty = rete)")
 	workers := flag.Int("workers", 0, "parallel-matcher workers per session (0 = server default)")
 	jsonOut := flag.String("json", "", "write a machine-readable result summary to this file")
 	obsDemo := flag.Bool("obs", false, "finish with an observability walkthrough (trace, profile, archive)")

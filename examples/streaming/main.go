@@ -37,7 +37,7 @@ func main() {
 	pack := flag.String("pack", "fraud", "rule pack: fraud or monitor")
 	events := flag.Int("events", 2000, "events to stream")
 	batch := flag.Int("batch", 250, "events per POST (one NDJSON body)")
-	matcher := flag.String("matcher", "", "matcher (rete, parallel-rete, ...; empty = server default)")
+	matcher := flag.String("matcher", "", "matcher (rete or parallel-rete; empty = rete)")
 	flag.Parse()
 
 	base := "http://" + *addr

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -107,16 +106,22 @@ func reference(t *testing.T, ops sessionOps, runs int) (wm, conflicts [][]byte) 
 // memory and conflict set compared byte for byte against an
 // uninterrupted single-node run.
 func TestClusterFailover(t *testing.T) {
-	c := Start(t, 3, true)
+	c := Start(t, 3)
 	ops := sessionOps{id: "acct-42"}
 	refWM, refConf := reference(t, ops, 2)
 
-	c.MustJSON(0, "POST", "/v1/sessions", ops.create(), nil, http.StatusCreated)
+	// Create through a node that does NOT own the session: the create
+	// must be proxied and land on the consistent-hash owner.
+	want := cluster.NewRing([]string{"n0", "n1", "n2"}, 0).Owner(ops.id)
+	via := 0
+	if c.Nodes[via].ID == want {
+		via = 1
+	}
+	c.MustJSON(via, "POST", "/v1/sessions", ops.create(), nil, http.StatusCreated)
 	owner := c.OwnerOf(ops.id)
 	if owner < 0 {
 		t.Fatal("no node serves the session after create")
 	}
-	want := cluster.NewRing([]string{"n0", "n1", "n2"}, 0).Owner(ops.id)
 	if got := c.Nodes[owner].ID; got != want {
 		t.Fatalf("session landed on %s, consistent hash places it on %s", got, want)
 	}
@@ -221,75 +226,10 @@ func TestClusterFailover(t *testing.T) {
 	}
 }
 
-// TestClusterRedirect checks the -forward=false mode: a request landing
-// on a non-owner answers 307 with the owner's URL, and a client that
-// follows it ends up creating the session on the owner.
-func TestClusterRedirect(t *testing.T) {
-	c := Start(t, 3, false)
-	ring := cluster.NewRing([]string{"n0", "n1", "n2"}, 0)
-
-	// Find an ID owned by a node other than n0.
-	id, ownerID := "", ""
-	for i := 0; i < 100; i++ {
-		cand := fmt.Sprintf("redirect-%d", i)
-		if o := ring.Owner(cand); o != "n0" {
-			id, ownerID = cand, o
-			break
-		}
-	}
-	if id == "" {
-		t.Fatal("could not find a session ID not owned by n0")
-	}
-
-	ops := sessionOps{id: id}
-	buf, err := json.Marshal(ops.create())
-	if err != nil {
-		t.Fatal(err)
-	}
-	noFollow := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
-		return http.ErrUseLastResponse
-	}}
-	resp, err := noFollow.Post(c.Nodes[0].URL()+"/v1/sessions", "application/json", bytes.NewReader(buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTemporaryRedirect {
-		t.Fatalf("status = %d, want 307", resp.StatusCode)
-	}
-	loc := resp.Header.Get("Location")
-	var ownerIdx int
-	for i, n := range c.Nodes {
-		if n.ID == ownerID {
-			ownerIdx = i
-		}
-	}
-	if !strings.HasPrefix(loc, c.Nodes[ownerIdx].URL()) {
-		t.Fatalf("Location = %q, want owner %s at %s", loc, ownerID, c.Nodes[ownerIdx].URL())
-	}
-
-	// Go's client re-sends the body on 307 (GetBody is set for
-	// bytes.Reader bodies), so the default client just works.
-	c.MustJSON(0, "POST", "/v1/sessions", ops.create(), nil, http.StatusCreated)
-	if got := c.OwnerOf(id); got != ownerIdx {
-		t.Fatalf("session on node %d, want %d", got, ownerIdx)
-	}
-
-	// Reads on a non-owner redirect too.
-	resp, err = noFollow.Get(c.Nodes[0].URL() + "/v1/sessions/" + id + "/wm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if ownerIdx != 0 && resp.StatusCode != http.StatusTemporaryRedirect {
-		t.Fatalf("GET via non-owner = %d, want 307", resp.StatusCode)
-	}
-}
-
 // TestClusterDrain checks graceful shutdown: draining a node hands its
 // live sessions to ring successors with no lost state.
 func TestClusterDrain(t *testing.T) {
-	c := Start(t, 3, true)
+	c := Start(t, 3)
 
 	// Create sessions with server-generated IDs until the target node
 	// owns at least one.
@@ -359,7 +299,7 @@ func TestClusterDrain(t *testing.T) {
 // reconcile loop must demote that stale copy instead of splitting the
 // brain, leaving exactly one (fresher) live owner.
 func TestClusterRejoin(t *testing.T) {
-	c := Start(t, 3, true)
+	c := Start(t, 3)
 	ops := sessionOps{id: "rejoin-1"}
 	c.MustJSON(0, "POST", "/v1/sessions", ops.create(), nil, http.StatusCreated)
 	owner := c.OwnerOf(ops.id)
@@ -409,7 +349,7 @@ func TestClusterRejoin(t *testing.T) {
 // TestClusterStatusAndReadyz covers the smaller surface: every node
 // reports all members alive, and /readyz tracks the serving state.
 func TestClusterStatusAndReadyz(t *testing.T) {
-	c := Start(t, 2, true)
+	c := Start(t, 2)
 	cl := c.Client()
 	for i := range c.Nodes {
 		c.WaitFor(5*time.Second, "peers alive", func() bool {
@@ -432,7 +372,7 @@ func TestClusterStatusAndReadyz(t *testing.T) {
 		}
 	}
 	st := c.Status(0)
-	if st.Node != "n0" || st.Replicas != 2 || !st.Forward {
+	if st.Node != "n0" || st.Replicas != 2 {
 		t.Fatalf("status = %+v", st)
 	}
 }
@@ -467,7 +407,7 @@ func metricValue(t *testing.T, cl *http.Client, base, name string) float64 {
 // serving continuously through that ghost claim: demoting to it would
 // strand the session until the dead timer fires.
 func TestClusterRollingExit(t *testing.T) {
-	c := Start(t, 3, true)
+	c := Start(t, 3)
 	defer c.Close()
 	ops := sessionOps{id: "rolling-7"}
 

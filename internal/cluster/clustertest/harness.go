@@ -58,16 +58,15 @@ type Cluster struct {
 	T     *testing.T
 	Nodes []*Node
 
-	peers   map[string]string
-	forward bool
+	peers map[string]string
 }
 
 // Start brings up n nodes. Listeners are created first so every node
 // knows every peer's URL before any node starts — the static -peers
-// model. forward selects proxy-forwarding (true) or 307 redirects.
-func Start(t *testing.T, n int, forward bool) *Cluster {
+// model.
+func Start(t *testing.T, n int) *Cluster {
 	t.Helper()
-	c := &Cluster{T: t, forward: forward, peers: make(map[string]string, n)}
+	c := &Cluster{T: t, peers: make(map[string]string, n)}
 	root := t.TempDir()
 	for i := 0; i < n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -103,7 +102,6 @@ func (c *Cluster) boot(tn *Node) {
 		Self:         tn.ID,
 		Peers:        c.peers,
 		Replicas:     2,
-		Forward:      c.forward,
 		Heartbeat:    Heartbeat,
 		SuspectAfter: SuspectAfter,
 		DeadAfter:    DeadAfter,
@@ -216,8 +214,7 @@ func (c *Cluster) Close() {
 	}
 }
 
-// Client returns an HTTP client that follows redirects (307 bodies are
-// re-sent automatically because requests carry GetBody).
+// Client returns the HTTP client tests drive the cluster with.
 func (c *Cluster) Client() *http.Client {
 	return &http.Client{Timeout: 10 * time.Second}
 }

@@ -34,7 +34,7 @@ func TestClusterStreamSoak(t *testing.T) {
 		duration = d
 	}
 	const id = "soak-fraud"
-	c := Start(t, 3, true)
+	c := Start(t, 3)
 	defer dumpSoakArtifacts(t, c, id)
 
 	c.MustJSON(0, "POST", "/v1/sessions",

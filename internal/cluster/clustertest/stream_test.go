@@ -90,7 +90,7 @@ func TestClusterStreamFailoverExpiryParity(t *testing.T) {
 	const id = "fraud-ha"
 	refWM, refClock, refExpired := streamReference(t, id, halves)
 
-	c := Start(t, 3, true)
+	c := Start(t, 3)
 	c.MustJSON(0, "POST", "/v1/sessions",
 		server.CreateRequest{ID: id, Program: workload.FraudRules, Matcher: "rete"},
 		nil, http.StatusCreated)

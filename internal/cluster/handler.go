@@ -9,10 +9,10 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"repro/internal/durable"
+	"repro/internal/server"
 )
 
 // The intra-cluster wire protocol, all under /v1/internal (never
@@ -83,7 +83,6 @@ type StatusResponse struct {
 	Ready     bool            `json:"ready"`
 	Draining  bool            `json:"draining"`
 	Replicas  int             `json:"replicas"`
-	Forward   bool            `json:"forward"`
 	Members   []PeerStatus    `json:"members"`
 	Sessions  []SessionStatus `json:"sessions"`
 	Standbys  []StandbyStatus `json:"standbys"`
@@ -98,7 +97,7 @@ type StatusResponse struct {
 // Handler wraps the server's HTTP API with the cluster layer: the
 // /v1/internal wire protocol and /v1/cluster/status are served here;
 // every other request passes through session routing, which serves
-// locally, proxies, or 307-redirects by consistent-hash placement.
+// locally or proxies to the owner by consistent-hash placement.
 func (n *Node) Handler(inner http.Handler) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/internal/ping", n.handlePing)
@@ -125,7 +124,7 @@ func (n *Node) route(inner http.Handler) http.Handler {
 			n.routeCreate(w, r, inner)
 			return
 		}
-		id := sessionIDFromPath(r.URL.Path)
+		id := server.SessionIDFromPath(r.URL.Path)
 		if id == "" {
 			inner.ServeHTTP(w, r) // list, operational endpoints, etc.
 			return
@@ -135,18 +134,13 @@ func (n *Node) route(inner http.Handler) http.Handler {
 			inner.ServeHTTP(w, r)
 			return
 		}
-		if n.cfg.Forward {
-			n.proxy(w, r, target, nil)
-			return
-		}
-		writeRedirect(w, target, r)
+		n.proxy(w, r, target, nil)
 	})
 }
 
-// routeCreate handles POST /sessions: the session ID decides placement,
-// and when the client did not pick one, this node generates it — then
-// the request must be proxied, never redirected, or the generated ID
-// would be lost and re-rolled by the next node.
+// routeCreate handles POST /v1/sessions: the session ID decides
+// placement, and when the client did not pick one, this node generates
+// it before proxying, so the ID is never re-rolled by the next node.
 func (n *Node) routeCreate(w http.ResponseWriter, r *http.Request, inner http.Handler) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 32<<20))
 	if err != nil {
@@ -162,12 +156,10 @@ func (n *Node) routeCreate(w http.ResponseWriter, r *http.Request, inner http.Ha
 	if raw, ok := fields["id"]; ok {
 		json.Unmarshal(raw, &id)
 	}
-	generated := false
 	if id == "" {
 		id = fmt.Sprintf("s-%s-%06d", n.cfg.Self, n.createSeq.Add(1))
 		fields["id"], _ = json.Marshal(id)
 		body, _ = json.Marshal(fields)
-		generated = true
 	}
 	r.Body = io.NopCloser(bytes.NewReader(body))
 	r.ContentLength = int64(len(body))
@@ -176,11 +168,7 @@ func (n *Node) routeCreate(w http.ResponseWriter, r *http.Request, inner http.Ha
 		inner.ServeHTTP(w, r)
 		return
 	}
-	if n.cfg.Forward || generated {
-		n.proxy(w, r, target, body)
-		return
-	}
-	writeRedirect(w, target, r)
+	n.proxy(w, r, target, body)
 }
 
 // target decides where a session's request belongs: nil to serve
@@ -401,7 +389,6 @@ func (n *Node) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Ready:     n.srv.Ready(),
 		Draining:  n.Draining(),
 		Replicas:  n.cfg.Replicas,
-		Forward:   n.cfg.Forward,
 		Members:   n.mem.snapshot(now, len(live)),
 		Sessions:  []SessionStatus{},
 		Standbys:  []StandbyStatus{},
@@ -537,35 +524,9 @@ func (n *Node) post(p *peer, path string, body []byte) (ackResponse, int, error)
 
 // --- small helpers ---
 
-// isSessionsRoot matches the create-session path (versioned or the
-// deprecated alias).
+// isSessionsRoot matches the create-session path.
 func isSessionsRoot(path string) bool {
-	return path == "/v1/sessions" || path == "/sessions"
-}
-
-// sessionIDFromPath extracts the {id} of a sessions API path ("" for
-// non-session paths).
-func sessionIDFromPath(path string) string {
-	parts := strings.Split(strings.Trim(path, "/"), "/")
-	for i, p := range parts {
-		if p == "sessions" && i+1 < len(parts) {
-			return parts[i+1]
-		}
-	}
-	return ""
-}
-
-// writeRedirect answers 307 to the owning peer with the standard error
-// envelope as body — a bare redirect's empty body left non-following
-// clients without the {code,message,retryable} shape every other error
-// path speaks.
-func writeRedirect(w http.ResponseWriter, target *peer, r *http.Request) {
-	w.Header().Set("Location", target.url+r.URL.RequestURI())
-	writeJSON(w, http.StatusTemporaryRedirect, errorEnvelope{
-		Code:      "wrong_node",
-		Message:   "session is owned by " + target.id + "; retry at the Location header",
-		Retryable: true,
-	})
+	return path == server.APIVersion+"/sessions"
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {
@@ -574,19 +535,10 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 	json.NewEncoder(w).Encode(body)
 }
 
-// errorEnvelope is the {code,message,retryable} error shape, identical
-// to the server package's ErrorResponse (duplicated to avoid an import
-// cycle; the golden-surface test pins both).
-type errorEnvelope struct {
-	Code      string `json:"code"`
-	Message   string `json:"message"`
-	Retryable bool   `json:"retryable"`
-}
-
-// writeClusterError mirrors the server's error envelope.
+// writeClusterError answers with the server's error envelope.
 func writeClusterError(w http.ResponseWriter, status int, code, msg string) {
 	retryable := status == http.StatusBadGateway || status == http.StatusServiceUnavailable
-	writeJSON(w, status, errorEnvelope{Code: code, Message: msg, Retryable: retryable})
+	writeJSON(w, status, server.ErrorResponse{Code: code, Message: msg, Retryable: retryable})
 }
 
 // sortStatus orders status slices for deterministic output.

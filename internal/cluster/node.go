@@ -32,9 +32,6 @@ type Config struct {
 	Replicas int
 	// VNodes is the ring's virtual nodes per member (default 64).
 	VNodes int
-	// Forward proxies misrouted requests to the owner instead of
-	// answering 307 (the -forward flag).
-	Forward bool
 	// Heartbeat is the ping/reconcile period (default 1s).
 	Heartbeat time.Duration
 	// SuspectAfter / DeadAfter are heartbeat-silence thresholds

@@ -89,10 +89,6 @@ type Options struct {
 	// Workers sets the parallel matcher's goroutine count (default
 	// GOMAXPROCS); ignored by the other matchers.
 	Workers int
-	// NoSteal disables the parallel matcher's work stealing (workers
-	// then only drain their own deques and the shared overflow list);
-	// ignored by the other matchers.
-	NoSteal bool
 	// Output receives write-action output (default: discarded).
 	Output io.Writer
 	// MaxCycles bounds Run (default: unbounded).
@@ -143,7 +139,7 @@ func NewSystemFromProgram(prog *ops5.Program, opts Options) (*System, error) {
 		sys.net = net
 		m = netMatcher{net}
 	case ParallelRete:
-		pm, err := prete.NewWithConfig(prog.Productions, prete.Config{Workers: opts.Workers, NoSteal: opts.NoSteal})
+		pm, err := prete.NewWithConfig(prog.Productions, prete.Config{Workers: opts.Workers})
 		if err != nil {
 			return nil, err
 		}

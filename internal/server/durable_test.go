@@ -1,6 +1,8 @@
 package server_test
 
 import (
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +14,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/server"
 )
 
@@ -331,5 +335,52 @@ func TestServerRecoversTornWAL(t *testing.T) {
 	c2.must("POST", "/sessions/counter/run", server.RunRequest{Cycles: 100}, &run, http.StatusOK)
 	if !run.Halted {
 		t.Fatalf("resumed run did not halt: %+v", run)
+	}
+}
+
+// TestRecoverCountsUnservedMatcher restarts on a session dir whose
+// manifest names a matcher the service no longer hosts (treat, as
+// written before the baseline matchers left the service). Recovery must
+// skip that session and count the failure on /metrics, while a healthy
+// session beside it still recovers.
+func TestRecoverCountsUnservedMatcher(t *testing.T) {
+	dataDir := t.TempDir()
+	cfg := server.Config{Shards: 1, DataDir: dataDir}
+
+	c1, crash := crashableServer(t, cfg)
+	c1.must("POST", "/sessions", server.CreateRequest{ID: "ok", Program: counterSrc}, nil, http.StatusCreated)
+	crash()
+
+	sys, err := core.NewSystem(counterSrc, core.Options{Matcher: core.TREAT})
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifest, err := json.Marshal(server.CreateSpec{ID: "old", Program: counterSrc, Matcher: "treat"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := durable.Create(filepath.Join(dataDir, hex.EncodeToString([]byte("old"))), manifest, sys.Engine, durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sys.Engine.Close()
+
+	_, c2 := newTestServer(t, cfg)
+	c2.must("GET", "/sessions/ok", nil, nil, http.StatusOK)
+	c2.must("GET", "/sessions/old", nil, nil, http.StatusNotFound)
+	resp, err := http.Get(c2.raw + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if v := metricValue(string(raw), "psmd_recover_errors_total"); v != 1 {
+		t.Errorf("psmd_recover_errors_total = %v, want 1", v)
+	}
+	if v := metricValue(string(raw), "psmd_recovered_sessions"); v != 1 {
+		t.Errorf("psmd_recovered_sessions = %v, want 1", v)
 	}
 }

@@ -23,20 +23,19 @@ import (
 // Wire types for the JSON API. OPS5 values map onto JSON naturally:
 // numbers stay numbers, symbols are strings, nil is null.
 
-// CreateRequest is the body of POST /sessions.
+// CreateRequest is the body of POST /v1/sessions.
 type CreateRequest struct {
 	ID              string `json:"id,omitempty"`
 	Program         string `json:"program"`
 	Matcher         string `json:"matcher,omitempty"`
 	Strategy        string `json:"strategy,omitempty"`
 	Workers         int    `json:"workers,omitempty"`
-	NoSteal         bool   `json:"no_steal,omitempty"`
 	ParallelFirings int    `json:"parallel_firings,omitempty"`
 	MaxWMEs         int    `json:"max_wmes,omitempty"`
 	MaxCycles       int    `json:"max_cycles_per_request,omitempty"`
 }
 
-// WireChange is one change in POST /sessions/{id}/changes.
+// WireChange is one change in POST /v1/sessions/{id}/changes.
 type WireChange struct {
 	Op    string         `json:"op"` // "assert" | "retract"
 	Class string         `json:"class,omitempty"`
@@ -44,7 +43,7 @@ type WireChange struct {
 	Tag   int            `json:"tag,omitempty"`
 }
 
-// ChangesRequest is the body of POST /sessions/{id}/changes.
+// ChangesRequest is the body of POST /v1/sessions/{id}/changes.
 type ChangesRequest struct {
 	Changes []WireChange `json:"changes"`
 }
@@ -57,7 +56,7 @@ type ChangesResponse struct {
 	ConflictSize int   `json:"conflict_size"`
 }
 
-// RunRequest is the body of POST /sessions/{id}/run.
+// RunRequest is the body of POST /v1/sessions/{id}/run.
 type RunRequest struct {
 	Cycles int `json:"cycles,omitempty"` // 0 = until quiescence/halt/quota
 }
@@ -73,7 +72,7 @@ type RunResponse struct {
 	ConflictSize int  `json:"conflict_size"`
 }
 
-// StreamEvent is one NDJSON line of POST /sessions/{id}/stream: an
+// StreamEvent is one NDJSON line of POST /v1/sessions/{id}/stream: an
 // event fact to assert. ts, when set, advances the session's logical
 // clock to at least that value before the event lands (monotone —
 // out-of-order timestamps never move the clock backward). ttl, when
@@ -87,7 +86,7 @@ type StreamEvent struct {
 }
 
 // StreamResponse summarises one stream connection's ingest: the body of
-// POST /sessions/{id}/stream on success. Clock, WMSize and ConflictSize
+// POST /v1/sessions/{id}/stream on success. Clock, WMSize and ConflictSize
 // reflect the session after the final batch.
 type StreamResponse struct {
 	SessionID    string `json:"session_id"`
@@ -301,9 +300,8 @@ type ProfileResponse struct {
 	Loss           *WireLoss         `json:"loss,omitempty"`
 }
 
-// APIVersion is the current HTTP API version prefix. Unversioned
-// paths still work as deprecated aliases and answer with a
-// Deprecation header pointing at the /v1 successor.
+// APIVersion is the HTTP API version prefix every sessions route
+// lives under.
 const APIVersion = "/v1"
 
 // ErrorResponse is the single JSON error envelope returned by every
@@ -329,10 +327,8 @@ type HandlerConfig struct {
 // Handler returns the HTTP API with default settings.
 func (s *Server) Handler() http.Handler { return s.HandlerWith(HandlerConfig{}) }
 
-// HandlerWith returns the HTTP API. The sessions API is versioned
-// under /v1; the unversioned paths remain as deprecated aliases that
-// answer with a Deprecation header and a Link to the /v1 successor.
-// Every error body is the ErrorResponse envelope.
+// HandlerWith returns the HTTP API. The sessions API lives only under
+// /v1. Every error body is the ErrorResponse envelope.
 //
 //	POST   /v1/sessions                create a session (program in body)
 //	GET    /v1/sessions                list sessions
@@ -378,36 +374,19 @@ func (s *Server) HandlerWith(cfg HandlerConfig) http.Handler {
 			}
 		}
 	}
-	// api registers pattern ("METHOD /path") under /v1 and keeps the
-	// unversioned path as a deprecated alias.
-	api := func(pattern string, fn func(w http.ResponseWriter, r *http.Request) error) {
-		method, path, ok := strings.Cut(pattern, " ")
-		if !ok {
-			panic("server: route pattern must be \"METHOD /path\": " + pattern)
-		}
-		handler := h(fn)
-		mux.HandleFunc(method+" "+APIVersion+path, handler)
-		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-			s.deprecated.Add(1)
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", "<"+APIVersion+r.URL.Path+`>; rel="successor-version"`)
-			handler(w, r)
-		})
-	}
-
-	api("POST /sessions", s.handleCreate)
-	api("GET /sessions", s.handleList)
-	api("GET /sessions/{id}", s.handleStats)
-	api("DELETE /sessions/{id}", s.handleDelete)
-	api("POST /sessions/{id}/changes", s.handleChanges)
-	api("POST /sessions/{id}/run", s.handleRun)
-	api("POST /sessions/{id}/stream", s.handleStream)
-	api("GET /sessions/{id}/conflicts", s.handleConflicts)
-	api("GET /sessions/{id}/wm", s.handleWM)
-	api("GET /sessions/{id}/trace", s.handleTrace)
-	api("GET /sessions/{id}/profile", s.handleProfile)
-	api("GET /sessions/{id}/loss", s.handleLoss)
-	api("POST /sessions/{id}/snapshot", s.handleSnapshot)
+	mux.HandleFunc("POST /v1/sessions", h(s.handleCreate))
+	mux.HandleFunc("GET /v1/sessions", h(s.handleList))
+	mux.HandleFunc("GET /v1/sessions/{id}", h(s.handleStats))
+	mux.HandleFunc("DELETE /v1/sessions/{id}", h(s.handleDelete))
+	mux.HandleFunc("POST /v1/sessions/{id}/changes", h(s.handleChanges))
+	mux.HandleFunc("POST /v1/sessions/{id}/run", h(s.handleRun))
+	mux.HandleFunc("POST /v1/sessions/{id}/stream", h(s.handleStream))
+	mux.HandleFunc("GET /v1/sessions/{id}/conflicts", h(s.handleConflicts))
+	mux.HandleFunc("GET /v1/sessions/{id}/wm", h(s.handleWM))
+	mux.HandleFunc("GET /v1/sessions/{id}/trace", h(s.handleTrace))
+	mux.HandleFunc("GET /v1/sessions/{id}/profile", h(s.handleProfile))
+	mux.HandleFunc("GET /v1/sessions/{id}/loss", h(s.handleLoss))
+	mux.HandleFunc("POST /v1/sessions/{id}/snapshot", h(s.handleSnapshot))
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		s.registry.WriteText(w)
@@ -465,7 +444,7 @@ func (s *Server) observeHTTP(next http.Handler) http.Handler {
 			slog.Int("status", rec.status),
 			slog.Duration("latency", time.Since(t0)),
 		}
-		if id := sessionFromPath(r.URL.Path); id != "" {
+		if id := SessionIDFromPath(r.URL.Path); id != "" {
 			attrs = append(attrs,
 				slog.String("session", id),
 				slog.Int("shard", s.shardFor(id).id))
@@ -493,16 +472,16 @@ func operational(path string) bool {
 		path == "/statusz" || strings.HasPrefix(path, "/debug/pprof")
 }
 
-// sessionFromPath extracts the session ID from a sessions API path
-// (best-effort, for log attribution only).
-func sessionFromPath(path string) string {
-	parts := strings.Split(strings.Trim(path, "/"), "/")
-	for i, p := range parts {
-		if p == "sessions" && i+1 < len(parts) {
-			return parts[i+1]
-		}
+// SessionIDFromPath returns the {id} of a /v1/sessions/{id}[/...]
+// path, or "" for any other path. The request log attributes requests
+// with it, and cluster routing places them by it.
+func SessionIDFromPath(path string) string {
+	rest, ok := strings.CutPrefix(path, APIVersion+"/sessions/")
+	if !ok {
+		return ""
 	}
-	return ""
+	id, _, _ := strings.Cut(rest, "/")
+	return id
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) error {
@@ -516,7 +495,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) error {
 		Matcher:         req.Matcher,
 		Strategy:        req.Strategy,
 		Workers:         req.Workers,
-		NoSteal:         req.NoSteal,
 		ParallelFirings: req.ParallelFirings,
 		Quota:           Quota{MaxWMEs: req.MaxWMEs, MaxCyclesPerRequest: req.MaxCycles},
 	})

@@ -184,17 +184,6 @@ func TestProfileEndpoint(t *testing.T) {
 			t.Errorf("%s: bad top param = %d, want 400", matcher, got)
 		}
 	}
-
-	// Matchers without a node network degrade to whole-matcher stats.
-	startCounter(t, c, "prof-naive", "naive", 3)
-	var prof server.ProfileResponse
-	c.must("GET", "/sessions/prof-naive/profile", nil, &prof, http.StatusOK)
-	if prof.NodesSupported || len(prof.Nodes) != 0 {
-		t.Errorf("naive: profile claims nodes: %+v", prof)
-	}
-	if prof.MatchStats == nil {
-		t.Error("naive: missing match stats")
-	}
 }
 
 func TestRequestIDPropagatesToSpans(t *testing.T) {

@@ -107,14 +107,13 @@ func TestSchedulerMetricsSurfaceSteals(t *testing.T) {
 	}
 }
 
-// TestNoStealConfigDisablesStealing pins the server-level kill switch:
-// with Config.NoSteal every session's scheduler runs without stealing,
-// so the steal counter stays flat while work still completes.
-func TestNoStealConfigDisablesStealing(t *testing.T) {
-	_, c := newTestServer(t, server.Config{Shards: 1, NoSteal: true, DefaultWorkers: 8})
+// TestDefaultWorkersApplied pins Config.DefaultWorkers: a parallel
+// session that sets no worker count of its own gets the server default.
+func TestDefaultWorkersApplied(t *testing.T) {
+	_, c := newTestServer(t, server.Config{Shards: 1, DefaultWorkers: 8})
 
 	c.must("POST", "/sessions", server.CreateRequest{
-		ID: "nosteal", Program: skewedSrc, Matcher: "parallel-rete",
+		ID: "defaults", Program: skewedSrc, Matcher: "parallel-rete",
 	}, nil, http.StatusCreated)
 
 	changes := []server.WireChange{
@@ -127,23 +126,13 @@ func TestNoStealConfigDisablesStealing(t *testing.T) {
 		})
 	}
 	var ch server.ChangesResponse
-	c.must("POST", "/sessions/nosteal/changes", server.ChangesRequest{Changes: changes}, &ch, http.StatusOK)
+	c.must("POST", "/sessions/defaults/changes", server.ChangesRequest{Changes: changes}, &ch, http.StatusOK)
 	if want := 16 * 16; ch.ConflictSize != want {
 		t.Fatalf("conflict size = %d, want %d", ch.ConflictSize, want)
 	}
 
-	resp, err := http.Get(c.raw + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if v := metricValue(string(raw), "psmd_steals_total"); v != 0 {
-		t.Errorf("psmd_steals_total = %v with stealing disabled, want 0", v)
-	}
-
 	var prof server.ProfileResponse
-	c.must("GET", "/sessions/nosteal/profile", nil, &prof, http.StatusOK)
+	c.must("GET", "/sessions/defaults/profile", nil, &prof, http.StatusOK)
 	if prof.MatchStats == nil || prof.MatchStats.Tasks == 0 {
 		t.Fatalf("profile match_stats = %+v, want tasks > 0", prof.MatchStats)
 	}

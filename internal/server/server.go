@@ -38,9 +38,6 @@ type Config struct {
 	// DefaultWorkers is the parallel-matcher worker count for sessions
 	// that do not set their own (0 = GOMAXPROCS).
 	DefaultWorkers int
-	// NoSteal disables work stealing in every session's parallel
-	// matcher (sessions cannot override; for overhead experiments).
-	NoSteal bool
 	// Logger receives structured request and slow-cycle logs (default:
 	// discard).
 	Logger *slog.Logger
@@ -117,7 +114,6 @@ type Server struct {
 	sessions     *stats.Gauge
 	requests     *stats.Counter
 	rejected     *stats.Counter
-	deprecated   *stats.Counter
 	panics       *stats.Counter
 	wmeChanges   *stats.Counter
 	firings      *stats.Counter
@@ -148,6 +144,7 @@ type Server struct {
 	walBytes        *stats.Counter
 	snapshotSeconds *stats.Histogram
 	recovered       *stats.Counter
+	recoverErrors   *stats.Counter
 }
 
 // New starts a server: one goroutine per shard, draining its mailbox.
@@ -177,9 +174,7 @@ func New(cfg Config) *Server {
 		sessions: r.Gauge("psmd_sessions", "live sessions"),
 		requests: r.Counter("psmd_requests_total", "session operations dispatched to shards"),
 		rejected: r.Counter("psmd_rejected_total", "operations rejected by shard backpressure"),
-		deprecated: r.Counter("psmd_deprecated_requests_total",
-			"requests served via deprecated unversioned path aliases"),
-		panics: r.Counter("psmd_panics_total", "session operations recovered from panic"),
+		panics:   r.Counter("psmd_panics_total", "session operations recovered from panic"),
 		wmeChanges: r.Counter("psmd_wme_changes_total",
 			"working-memory changes processed (submitted and fired)"),
 		firings: r.Counter("psmd_firings_total", "production firings"),
@@ -210,17 +205,13 @@ func New(cfg Config) *Server {
 			"latency of one durable-session snapshot", nil),
 		recovered: r.Counter("psmd_recovered_sessions",
 			"sessions recovered from durable state at startup"),
+		recoverErrors: r.Counter("psmd_recover_errors_total",
+			"startup recovery failures: an unreadable data dir or a skipped session dir"),
 		phaseSecs:  make(map[string]*stats.FloatCounter),
 		taskCounts: make(map[string]*stats.Counter),
 	}
 	r.GaugeFunc("psmd_uptime_seconds", "seconds since server start", func() float64 {
 		return time.Since(s.start).Seconds()
-	})
-	r.GaugeFunc("psmd_wme_changes_per_sec", "working-memory changes per second of uptime", func() float64 {
-		return float64(s.wmeChanges.Value()) / time.Since(s.start).Seconds()
-	})
-	r.GaugeFunc("psmd_firings_per_sec", "production firings per second of uptime", func() float64 {
-		return float64(s.firings.Value()) / time.Since(s.start).Seconds()
 	})
 	r.GaugeFunc("psmd_goroutines", "live goroutines", func() float64 {
 		return float64(runtime.NumGoroutine())
@@ -306,6 +297,7 @@ func (s *Server) attachDurable(sess *session, log *durable.Log) {
 func (s *Server) recoverSessions() {
 	dirs, err := durable.SessionDirs(s.cfg.DataDir)
 	if err != nil {
+		s.recoverErrors.Inc()
 		s.logger.Error("durable recovery: list sessions", "data_dir", s.cfg.DataDir, "err", err)
 		return
 	}
@@ -313,6 +305,7 @@ func (s *Server) recoverSessions() {
 	for _, dir := range dirs {
 		sess, rstats, err := s.recoverSession(dir)
 		if err != nil {
+			s.recoverErrors.Inc()
 			s.logger.Error("durable recovery failed; skipping session", "dir", dir, "err", err)
 			continue
 		}
@@ -482,9 +475,6 @@ func (s *Server) CreateSession(ctx context.Context, spec CreateSpec) (SessionInf
 	}
 	if spec.Workers == 0 {
 		spec.Workers = s.cfg.DefaultWorkers
-	}
-	if s.cfg.NoSteal {
-		spec.NoSteal = true
 	}
 	sess, err := newSession(spec, s.cfg.DefaultQuota, time.Now(), false)
 	if err != nil {

@@ -147,7 +147,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	text := string(raw)
-	for _, want := range []string{"psmd_sessions 1", "psmd_firings_total 6", "psmd_wme_changes_per_sec"} {
+	for _, want := range []string{"psmd_sessions 1", "psmd_firings_total 6", "psmd_wme_changes_total"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, text)
 		}
@@ -175,9 +175,22 @@ func TestHTTPErrors(t *testing.T) {
 	if got := c.do("POST", "/sessions", server.CreateRequest{Program: "(p broken"}, nil); got != http.StatusBadRequest {
 		t.Errorf("bad program: status %d, want 400", got)
 	}
-	// Unknown matcher.
-	if got := c.do("POST", "/sessions", server.CreateRequest{Program: counterSrc, Matcher: "quantum"}, nil); got != http.StatusBadRequest {
-		t.Errorf("bad matcher: status %d, want 400", got)
+	// The service hosts serial and parallel Rete only: unknown names
+	// and the comparison-baseline matchers are rejected.
+	for _, tc := range []struct {
+		matcher string
+		want    int
+	}{
+		{"quantum", http.StatusBadRequest},
+		{"treat", http.StatusBadRequest},
+		{"", http.StatusCreated},
+		{"rete", http.StatusCreated},
+		{"prete", http.StatusCreated},
+		{"parallel-rete", http.StatusCreated},
+	} {
+		if got := c.do("POST", "/sessions", server.CreateRequest{Program: counterSrc, Matcher: tc.matcher}, nil); got != tc.want {
+			t.Errorf("matcher %q: status %d, want %d", tc.matcher, got, tc.want)
+		}
 	}
 	// Unknown session.
 	if got := c.do("POST", "/sessions/nope/run", server.RunRequest{}, nil); got != http.StatusNotFound {
@@ -210,39 +223,31 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
-// TestAPIVersioningAndErrorEnvelope pins the redesigned HTTP surface:
-// unversioned paths still work but are marked deprecated with a Link
-// to the /v1 successor, and every error body is the uniform
+// TestAPIVersioningAndErrorEnvelope pins the HTTP surface: session
+// routes exist only under /v1, and every error body is the uniform
 // {code, message, retryable} envelope.
 func TestAPIVersioningAndErrorEnvelope(t *testing.T) {
 	_, c := newTestServer(t, server.Config{Shards: 1})
 	c.must("POST", "/sessions", server.CreateRequest{ID: "v", Program: counterSrc}, nil, http.StatusCreated)
 
-	// The deprecated unversioned alias serves the same resource and
-	// advertises its successor.
+	// The unversioned path is not a route.
 	resp, err := http.Get(c.raw + "/sessions/v")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("unversioned alias: status %d, want 200", resp.StatusCode)
-	}
-	if got := resp.Header.Get("Deprecation"); got != "true" {
-		t.Errorf("alias Deprecation header = %q, want \"true\"", got)
-	}
-	if got := resp.Header.Get("Link"); got != `</v1/sessions/v>; rel="successor-version"` {
-		t.Errorf("alias Link header = %q", got)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("unversioned /sessions/v: status %d, want 404", resp.StatusCode)
 	}
 
-	// The versioned route answers without deprecation marks.
+	// The versioned route serves the session.
 	resp2, err := http.Get(c.base + "/sessions/v")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK || resp2.Header.Get("Deprecation") != "" {
-		t.Errorf("/v1 route: status %d, Deprecation %q", resp2.StatusCode, resp2.Header.Get("Deprecation"))
+	resp2.Body.Close()
+	if resp2.StatusCode != http.StatusOK {
+		t.Errorf("/v1 route: status %d, want 200", resp2.StatusCode)
 	}
 
 	// Errors carry the envelope with a stable code. Exercise three
@@ -357,7 +362,7 @@ func programSource(prods []*ops5.Production) string {
 // be semantically invisible.
 func TestConcurrentSessionsMatchSerialReplay(t *testing.T) {
 	const sessions = 9
-	matchers := []string{"rete", "parallel-rete", "treat"}
+	matchers := []string{"rete", "parallel-rete"}
 
 	_, c := newTestServer(t, server.Config{Shards: 4, QueueDepth: 256})
 

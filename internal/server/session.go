@@ -16,6 +16,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -50,17 +51,16 @@ type CreateSpec struct {
 	// Program is the OPS5 source text (productions plus optional
 	// top-level make forms).
 	Program string
-	// Matcher selects the match algorithm by name (core.ParseMatcherKind
-	// spelling; empty = serial rete).
+	// Matcher selects the match algorithm by name: serial or parallel
+	// Rete in any core.ParseMatcherKind spelling (empty = serial rete).
+	// The other core matchers are comparison baselines and are not
+	// served.
 	Matcher string
 	// Strategy selects conflict resolution ("lex" default, or "mea").
 	Strategy string
 	// Workers sets the parallel matcher's goroutine count (parallel
 	// rete only; 0 = the server default, else GOMAXPROCS).
 	Workers int
-	// NoSteal disables the parallel matcher's work stealing (parallel
-	// rete only).
-	NoSteal bool
 	// ParallelFirings fires up to N non-conflicting instantiations per
 	// cycle (default 1).
 	ParallelFirings int
@@ -307,16 +307,12 @@ func badReqf(format string, args ...any) error {
 // working memory — the crash-recovery path, where the snapshot being
 // restored already contains the program's initial state.
 func newSession(spec CreateSpec, defaultQuota Quota, now time.Time, noInitialWM bool) (*session, error) {
-	kind := core.SerialRete
-	if spec.Matcher != "" {
-		var err error
-		if kind, err = core.ParseMatcherKind(spec.Matcher); err != nil {
-			return nil, &BadRequestError{Err: err}
-		}
+	kind, err := core.ParseMatcherKind(cmp.Or(spec.Matcher, "rete"))
+	if err != nil || (kind != core.SerialRete && kind != core.ParallelRete) {
+		return nil, badReqf("server: matcher %q is not served (rete|parallel-rete|prete; empty = rete)", spec.Matcher)
 	}
 	strategy := conflict.LEX
 	if spec.Strategy != "" {
-		var err error
 		if strategy, err = conflict.ParseStrategy(spec.Strategy); err != nil {
 			return nil, &BadRequestError{Err: err}
 		}
@@ -329,7 +325,6 @@ func newSession(spec CreateSpec, defaultQuota Quota, now time.Time, noInitialWM 
 		Matcher:         kind,
 		Strategy:        strategy,
 		Workers:         spec.Workers,
-		NoSteal:         spec.NoSteal,
 		ParallelFirings: spec.ParallelFirings,
 		NoInitialWM:     noInitialWM,
 	})
