@@ -10,6 +10,7 @@ package repro_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -19,7 +20,9 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/archcmp"
 	"repro/internal/core"
@@ -558,6 +561,107 @@ func BenchmarkStreamThroughput(b *testing.B) {
 			b.ReportMetric(registryValue(b, srv, "psmd_stream_lag_events"), "stream-lag")
 		})
 	}
+}
+
+// BenchmarkStreamIngest measures the engine layer of streaming ingest
+// without HTTP: perfbench-shaped fraud posts (256 events over 50 cards,
+// window 20) go straight to Server.StreamApply, round robin over 8
+// serial-Rete sessions as perfbench's fraud-stream spreads them, so an
+// op covers shard dispatch, clock advance with TTL expiry, match,
+// select and act for one post. It reports process CPU time (getrusage,
+// so GC and every goroutine count), allocations and bytes per WM
+// change, where a post's changes are its events plus the events it
+// expired. Session set-up, which recurs when the pre-generated streams
+// run out, is excluded from all three.
+func BenchmarkStreamIngest(b *testing.B) {
+	const sessions, perPost, posts = 8, 256, 25
+	batches := make([][][]server.EventSpec, sessions)
+	for s := range batches {
+		events := workload.FraudEvents(workload.FraudParams{
+			Cards: 50, Events: perPost * posts, Window: 20, Seed: int64(1000 + s)})
+		for p := 0; p < posts; p++ {
+			batch := make([]server.EventSpec, 0, perPost)
+			for _, ev := range events[p*perPost : (p+1)*perPost] {
+				spec := server.EventSpec{Class: ev.Class, TS: ev.TS, TTL: ev.TTL, Attrs: map[string]ops5.Value{}}
+				for k, v := range ev.Attrs {
+					switch x := v.(type) {
+					case string:
+						spec.Attrs[k] = ops5.Sym(x)
+					case float64:
+						spec.Attrs[k] = ops5.Num(x)
+					}
+				}
+				batch = append(batch, spec)
+			}
+			batches[s] = append(batches[s], batch)
+		}
+	}
+	srv := server.New(server.Config{})
+	defer srv.Close()
+	ctx := context.Background()
+	var (
+		round, next    int
+		changes        int
+		cpu, cpu0      time.Duration
+		mallocs, bytes uint64
+		m0, m1         runtime.MemStats
+	)
+	id := func(s int) string { return fmt.Sprintf("ingest-%d-%d", round, s) }
+	// start opens fresh sessions and the measured segment that runs
+	// until their streams are exhausted; stop closes the segment.
+	start := func() {
+		round++
+		for s := 0; s < sessions; s++ {
+			if _, err := srv.CreateSession(ctx, server.CreateSpec{ID: id(s), Program: workload.FraudRules}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		next = 0
+		runtime.ReadMemStats(&m0)
+		cpu0 = processCPU(b)
+	}
+	stop := func() {
+		cpu += processCPU(b) - cpu0
+		runtime.ReadMemStats(&m1)
+		mallocs += m1.Mallocs - m0.Mallocs
+		bytes += m1.TotalAlloc - m0.TotalAlloc
+		for s := 0; s < sessions; s++ {
+			if err := srv.DeleteSession(ctx, id(s)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	start()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if next == sessions*posts {
+			b.StopTimer()
+			stop()
+			start()
+			b.StartTimer()
+		}
+		s := next % sessions
+		res, err := srv.StreamApply(ctx, id(s), batches[s][next/sessions])
+		if err != nil {
+			b.Fatal(err)
+		}
+		next++
+		changes += res.Events + res.Expired
+	}
+	b.StopTimer()
+	stop()
+	b.ReportMetric(float64(cpu.Nanoseconds())/float64(changes), "cpu-ns/change")
+	b.ReportMetric(float64(mallocs)/float64(changes), "allocs/change")
+	b.ReportMetric(float64(bytes)/float64(changes), "B/change")
+}
+
+// processCPU returns the process's user plus system CPU time.
+func processCPU(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // registryValue reads one metric's current value from a server's

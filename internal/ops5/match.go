@@ -180,7 +180,7 @@ type Instantiation struct {
 	Bindings Bindings
 
 	// key caches the canonical identity computed by Key. Instantiations
-	// are immutable, and every conflict-set operation keys on it.
+	// are immutable.
 	key string
 
 	// wmeArr is inline storage for WMEs (see NewInstantiation).
@@ -243,8 +243,10 @@ func (in *Instantiation) TimeTags() []int {
 
 // Key returns a canonical identity string: production name plus the
 // positive-CE time tags in order. Two instantiations with equal keys are
-// the same instantiation. The string is built once and cached — the
-// conflict set keys every insert, remove and contains on it.
+// the same instantiation. The string is built once and cached; it is
+// what refraction marks persist as (snapshots, the WAL, recovery) and
+// what the service shows, while the conflict set itself finds entries
+// by a hash of the same identity without building the string.
 func (in *Instantiation) Key() string {
 	if in.key != "" {
 		return in.key

@@ -143,11 +143,35 @@ func (s *Stats) AvgAffected() float64 {
 // matters for constant factors while leaving the asymptotics indexed.
 const linearProbeMin = 16
 
-// applyCtx threads per-change bookkeeping through the propagation.
+// applyCtx threads per-change bookkeeping through the propagation:
+// counts holds, per production ordinal, the two-input activations
+// credited to the production during the current change (-1 when it is
+// not affected), and touched lists the ordinals set this change, so
+// closing a change costs the affected productions, not the network.
 type applyCtx struct {
-	change   int
-	dir      ops5.ChangeKind
-	affected map[*ops5.Production]int // production -> two-input activations
+	change  int
+	dir     ops5.ChangeKind
+	counts  []int32
+	touched []int32
+}
+
+// touch marks the memory's productions affected by the current change.
+func (c *applyCtx) touch(am *AlphaMem) {
+	for _, ref := range am.ProdRefs {
+		if c.counts[ref.ord] < 0 {
+			c.counts[ref.ord] = 0
+			c.touched = append(c.touched, int32(ref.ord))
+		}
+	}
+}
+
+// credit attributes a two-input activation to the productions sharing
+// the node's right memory, for the per-production variance histogram.
+func (c *applyCtx) credit(am *AlphaMem) {
+	c.touch(am)
+	for _, ref := range am.ProdRefs {
+		c.counts[ref.ord]++
+	}
 }
 
 // Apply processes a batch of working-memory changes through the network
@@ -156,8 +180,9 @@ type applyCtx struct {
 func (n *Network) Apply(changes []ops5.Change) {
 	n.started = true
 	n.prepare()
+	ctx := &n.ctx
 	for i, ch := range changes {
-		ctx := &applyCtx{change: i, dir: ch.Kind, affected: make(map[*ops5.Production]int)}
+		ctx.change, ctx.dir = i, ch.Kind
 		root := n.roots[ch.WME.ClassID()]
 		tests := 0
 		rootSeq := n.nextSeq()
@@ -167,14 +192,12 @@ func (n *Network) Apply(changes []ops5.Change) {
 		n.Stats.ConstTests += int64(tests)
 		n.Stats.Changes++
 		n.Stats.Activations[KindRoot]++
-		n.Stats.AffectedProductions += int64(len(ctx.affected))
-		for _, cnt := range ctx.affected {
-			idx := cnt
-			if idx > 15 {
-				idx = 15
-			}
-			n.Stats.TwoInputPerProduction[idx]++
+		n.Stats.AffectedProductions += int64(len(ctx.touched))
+		for _, ord := range ctx.touched {
+			n.Stats.TwoInputPerProduction[min(ctx.counts[ord], 15)]++
+			ctx.counts[ord] = -1
 		}
+		ctx.touched = ctx.touched[:0]
 		n.emit(ActivationEvent{
 			Seq: rootSeq, Parent: 0, Change: i, Kind: KindRoot, NodeID: 0,
 			Dir: ch.Kind, TestsRun: tests,
@@ -211,24 +234,21 @@ func (n *Network) visitConst(node *ConstNode, w *ops5.WME, ctx *applyCtx, parent
 func (n *Network) alphaActivate(am *AlphaMem, w *ops5.WME, ctx *applyCtx, parent int64) {
 	seq := n.nextSeq()
 	n.Stats.Activations[KindAlpha]++
-	for _, ref := range am.ProdRefs {
-		if _, ok := ctx.affected[ref.Production]; !ok {
-			ctx.affected[ref.Production] = 0
-		}
-	}
+	ctx.touch(am)
+	var wr *wmeRec
 	switch ctx.dir {
 	case ops5.Insert:
-		am.insert(w)
+		wr = am.insert(n, w)
 		for _, ix := range am.indexes {
-			ix.insert(w, am.Items)
+			ix.insert(wr, am.recs)
 		}
 	case ops5.Delete:
-		if !am.remove(w) {
+		if wr = am.remove(w); wr == nil {
 			n.Stats.Anomalies++
 			return
 		}
 		for _, ix := range am.indexes {
-			ix.remove(w)
+			ix.remove(wr)
 		}
 	}
 	n.emit(ActivationEvent{
@@ -236,278 +256,375 @@ func (n *Network) alphaActivate(am *AlphaMem, w *ops5.WME, ctx *applyCtx, parent
 		NodeID: am.ID, Dir: ctx.dir, SharedBy: len(am.ProdRefs),
 	})
 	for _, j := range am.Succs {
-		n.rightActivate(j, w, ctx, seq)
+		n.rightActivate(j, wr, ctx, seq)
+	}
+	if ctx.dir == ops5.Delete && wr.kids == nil {
+		n.wrecs.put(&wmeBatches, wr)
 	}
 }
 
-// creditAffected attributes a two-input activation to the productions
-// sharing the node, for the per-production variance histogram.
-func (n *Network) creditAffected(ctx *applyCtx, am *AlphaMem) {
-	for _, ref := range am.ProdRefs {
-		ctx.affected[ref.Production]++
+// leftRecs returns the left-memory records a right activation of j
+// tests: the key's bucket when the left index is built and the memory
+// is large enough to probe (indexed), else the whole memory.
+func (j *JoinNode) leftRecs(w *ops5.WME) (bucket *tokRec, all []*tokRec, indexed bool) {
+	all = j.Left.recs
+	if j.leftIdx != nil && j.leftIdx.bkts != nil && len(all) >= linearProbeMin {
+		return j.leftIdx.bkts.first(j.rightHash(w)), nil, true
 	}
+	return nil, all, false
 }
 
-// rightActivate processes a WME arriving on the right input of a
-// two-input node.
-func (n *Network) rightActivate(j *JoinNode, w *ops5.WME, ctx *applyCtx, parent int64) {
+// rightRecs returns the alpha records a left activation of j tests:
+// the key's bucket when the right index is built and the memory is
+// large enough to probe, else the whole memory.
+func (j *JoinNode) rightRecs(tok *Token) (items []*wmeRec, indexed bool) {
+	items = j.Right.recs
+	if j.rightIdx != nil && j.rightIdx.buckets != nil && len(items) >= linearProbeMin {
+		return j.rightIdx.probe(j.leftHash(tok), &j.rightScratch), true
+	}
+	return items, false
+}
+
+// rightActivate processes a WME arriving on (or leaving) the right
+// input of a two-input node.
+func (n *Network) rightActivate(j *JoinNode, wr *wmeRec, ctx *applyCtx, parent int64) {
 	seq := n.nextSeq()
-	n.creditAffected(ctx, j.Right)
+	ctx.credit(j.Right)
+	w := wr.w
+	var tested, emitted int
+	var indexed bool
+	kind := KindJoinRight
+	opp := len(j.Left.recs)
 	switch j.Kind {
 	case JoinPositive:
 		n.Stats.Activations[KindJoinRight]++
-		tested, emitted := 0, 0
-		toks := j.Left.Tokens
-		indexed := j.leftIdx != nil && j.leftIdx.buckets != nil && len(toks) >= linearProbeMin
-		if indexed {
-			toks = j.leftIdx.probe(j.rightHash(w), &j.leftScratch)
+		bucket, all, ix := j.leftRecs(w)
+		indexed = ix
+		if ix {
 			n.Stats.IndexedProbes++
 		}
-		for _, tok := range toks {
-			tested++
-			if j.evalJoin(tok, w) {
-				emitted++
-				if ctx.dir == ops5.Insert {
-					n.betaInsert(j.Out, tok.Extend(w), ctx, seq)
-				} else {
-					n.betaDeleteExt(j.Out, tok, w, ctx, seq)
+		if ctx.dir == ops5.Insert {
+			visit := func(r *tokRec) {
+				tested++
+				if j.evalJoin(&r.tok, w) {
+					emitted++
+					kid := n.toks.get(&tokBatches)
+					kid.tok.extendFrom(&r.tok, w)
+					joinKid(kid, r, wr)
+					n.betaInsert(j.Out, kid, ctx, seq)
 				}
 			}
+			if indexed {
+				for r := bucket; r != nil; r = j.leftIdx.bkts.next(r) {
+					visit(r)
+				}
+			} else {
+				for _, r := range all {
+					visit(r)
+				}
+			}
+			break
 		}
-		n.Stats.TokenComparisons += int64(tested)
-		j.Prof.add(tested, emitted, indexed)
-		n.emit(ActivationEvent{
-			Seq: seq, Parent: parent, Change: ctx.change, Kind: KindJoinRight,
-			NodeID: j.ID, Dir: ctx.dir, TokensTested: tested, PairsEmitted: emitted,
-			SharedBy: j.SharedBy, Indexed: indexed, OppSize: len(j.Left.Tokens),
-		})
+		// Removal re-joins exactly as insertion did; each match's child
+		// is reached by pointer. The WME's children at this node are
+		// parked on their left parents, and the re-join claims them.
+		for c := wr.kids; c != nil; c = c.nextW {
+			if c.mem == j.Out {
+				c.parent.stash = c
+			}
+		}
+		kids := j.kidScratch[:0]
+		claim := func(r *tokRec) {
+			tested++
+			if j.evalJoin(&r.tok, w) {
+				emitted++
+				if r.stash == nil {
+					n.Stats.Anomalies++
+					return
+				}
+				kids = append(kids, r.stash)
+				r.stash = nil
+			}
+		}
+		if indexed {
+			for r := bucket; r != nil; r = j.leftIdx.bkts.next(r) {
+				claim(r)
+			}
+		} else {
+			for _, r := range all {
+				claim(r)
+			}
+		}
+		n.removeKids(j, kids, ctx, seq)
+		for c := wr.kids; c != nil; c = c.nextW {
+			if c.mem == j.Out {
+				c.parent.stash = nil // unclaimed: the memories disagree
+			}
+		}
 	case JoinNegative:
 		n.Stats.Activations[KindNegRight]++
-		tested, emitted := 0, 0
-		indexed := j.negIndex != nil
-		adjust := func(rec *negRecord) {
+		kind = KindNegRight
+		indexed = j.negIdx != nil
+		adjust := func(nr *negRec) {
 			tested++
-			if !j.evalJoin(rec.tok, w) {
+			if !j.evalJoin(&nr.left.tok, w) {
 				return
 			}
 			switch ctx.dir {
 			case ops5.Insert:
-				rec.count++
-				if rec.count == 1 {
+				nr.count++
+				if nr.count == 1 {
 					emitted++
-					n.betaDelete(j.Out, rec.tok, ctx, seq)
+					out := nr.out
+					nr.out = nil
+					n.betaRemove(out, ctx, seq)
 				}
 			case ops5.Delete:
-				rec.count--
-				if rec.count == 0 {
+				nr.count--
+				if nr.count == 0 {
 					emitted++
-					n.betaInsert(j.Out, rec.tok, ctx, seq)
+					nr.out = n.passThrough(j, nr.left, ctx, seq)
 				}
 			}
 		}
 		if indexed {
 			n.Stats.IndexedProbes++
 			// Propagation from j.Out flows strictly downstream, so the
-			// chain is never appended to (entries never move) while we
-			// hold pointers into it.
-			if head, ok := j.negIndex[j.rightHash(w)]; ok {
-				for e := head; e >= 0; e = j.negEntries[e].next {
-					adjust(&j.negEntries[e].rec)
-				}
+			// bucket is never relinked while it is walked.
+			for nr := j.negIdx.first(j.rightHash(w)); nr != nil; nr = nr.link.next {
+				adjust(nr)
 			}
-		} else {
-			for _, rec := range j.negRecords {
-				adjust(rec)
-			}
-		}
-		opp := len(j.negRecords)
-		if indexed {
 			opp = j.negCount
+		} else {
+			for _, nr := range j.negList {
+				adjust(nr)
+			}
+			opp = len(j.negList)
 		}
-		n.Stats.TokenComparisons += int64(tested)
-		j.Prof.add(tested, emitted, indexed)
-		n.emit(ActivationEvent{
-			Seq: seq, Parent: parent, Change: ctx.change, Kind: KindNegRight,
-			NodeID: j.ID, Dir: ctx.dir, TokensTested: tested, PairsEmitted: emitted,
-			SharedBy: j.SharedBy, Indexed: indexed, OppSize: opp,
-		})
 	}
+	n.Stats.TokenComparisons += int64(tested)
+	j.Prof.add(tested, emitted, indexed)
+	n.emit(ActivationEvent{
+		Seq: seq, Parent: parent, Change: ctx.change, Kind: kind,
+		NodeID: j.ID, Dir: ctx.dir, TokensTested: tested, PairsEmitted: emitted,
+		SharedBy: j.SharedBy, Indexed: indexed, OppSize: opp,
+	})
 }
 
-// leftActivate processes a token arriving on the left input of a
-// two-input node. dir gives whether the token is being added or removed.
-func (n *Network) leftActivate(j *JoinNode, tok *Token, dir ops5.ChangeKind, ctx *applyCtx, parent int64) {
+// removeKids removes the children a removal at j claimed, in claim
+// order, then hands the scratch buffer back to j.
+func (n *Network) removeKids(j *JoinNode, kids []*tokRec, ctx *applyCtx, seq int64) {
+	for i, kid := range kids {
+		kids[i] = nil
+		n.betaRemove(kid, ctx, seq)
+	}
+	j.kidScratch = kids[:0]
+}
+
+// passThrough stores a copy of left's token in not-node j's output
+// memory and propagates it, returning the stored record.
+func (n *Network) passThrough(j *JoinNode, left *tokRec, ctx *applyCtx, seq int64) *tokRec {
+	out := n.toks.get(&tokBatches)
+	out.tok.extendFrom(&left.tok, nil)
+	n.betaInsert(j.Out, out, ctx, seq)
+	return out
+}
+
+// leftActivate processes a token arriving on (or leaving) the left
+// input of a two-input node. dir gives whether the token is being added
+// or removed.
+func (n *Network) leftActivate(j *JoinNode, r *tokRec, dir ops5.ChangeKind, ctx *applyCtx, parent int64) {
 	seq := n.nextSeq()
-	n.creditAffected(ctx, j.Right)
+	ctx.credit(j.Right)
+	tok := &r.tok
+	var tested, emitted int
+	var indexed bool
+	kind := KindJoinLeft
 	switch j.Kind {
 	case JoinPositive:
 		n.Stats.Activations[KindJoinLeft]++
-		tested, emitted := 0, 0
-		items := j.Right.Items
-		indexed := j.rightIdx != nil && j.rightIdx.buckets != nil && len(items) >= linearProbeMin
-		if indexed {
-			items = j.rightIdx.probe(j.leftHash(tok), &j.rightScratch)
+		items, ix := j.rightRecs(tok)
+		indexed = ix
+		if ix {
 			n.Stats.IndexedProbes++
 		}
-		for _, w := range items {
-			tested++
-			if j.evalJoin(tok, w) {
-				emitted++
-				if dir == ops5.Insert {
-					n.betaInsert(j.Out, tok.Extend(w), ctx, seq)
-				} else {
-					n.betaDeleteExt(j.Out, tok, w, ctx, seq)
+		if dir == ops5.Insert {
+			for _, wr := range items {
+				tested++
+				if j.evalJoin(tok, wr.w) {
+					emitted++
+					kid := n.toks.get(&tokBatches)
+					kid.tok.extendFrom(tok, wr.w)
+					joinKid(kid, r, wr)
+					n.betaInsert(j.Out, kid, ctx, seq)
 				}
 			}
+			break
 		}
-		n.Stats.TokenComparisons += int64(tested)
-		j.Prof.add(tested, emitted, indexed)
-		n.emit(ActivationEvent{
-			Seq: seq, Parent: parent, Change: ctx.change, Kind: KindJoinLeft,
-			NodeID: j.ID, Dir: dir, TokensTested: tested, PairsEmitted: emitted,
-			SharedBy: j.SharedBy, Indexed: indexed, OppSize: len(j.Right.Items),
-		})
+		// Removal mirrors the right side: the token's children at this
+		// node are parked on their alpha records, and the re-join over
+		// the same items claims them.
+		for c := r.kids; c != nil; c = c.nextKid {
+			if c.mem == j.Out {
+				c.wrec.stash = c
+			}
+		}
+		kids := j.kidScratch[:0]
+		for _, wr := range items {
+			tested++
+			if j.evalJoin(tok, wr.w) {
+				emitted++
+				if wr.stash == nil {
+					n.Stats.Anomalies++
+					continue
+				}
+				kids = append(kids, wr.stash)
+				wr.stash = nil
+			}
+		}
+		n.removeKids(j, kids, ctx, seq)
+		for c := r.kids; c != nil; c = c.nextKid {
+			if c.mem == j.Out {
+				c.wrec.stash = nil // unclaimed: the memories disagree
+			}
+		}
 	case JoinNegative:
 		n.Stats.Activations[KindNegLeft]++
-		tested, emitted := 0, 0
-		indexed := j.negIndex != nil
+		kind = KindNegLeft
+		indexed = j.negIdx != nil
 		switch dir {
 		case ops5.Insert:
 			count := 0
-			items := j.Right.Items
-			if j.rightIdx != nil && j.rightIdx.buckets != nil && len(items) >= linearProbeMin {
-				items = j.rightIdx.probe(j.leftHash(tok), &j.rightScratch)
+			items, ix := j.rightRecs(tok)
+			if ix {
 				n.Stats.IndexedProbes++
 			}
-			for _, w := range items {
+			for _, wr := range items {
 				tested++
-				if j.evalJoin(tok, w) {
+				if j.evalJoin(tok, wr.w) {
 					count++
 				}
 			}
+			nr := n.negs.get(&negBatches)
+			*nr = negRec{left: r, join: j, count: int32(count), next: r.negs}
+			r.negs = nr
 			if indexed {
-				j.negAdd(j.leftHash(tok), negRecord{tok: tok, count: count})
+				j.negIdx.add(j.leftHash(tok), nr)
 				j.negCount++
 			} else {
-				j.negRecords = append(j.negRecords, &negRecord{tok: tok, count: count})
+				nr.slot = int32(len(j.negList))
+				j.negList = append(j.negList, nr)
 			}
 			if count == 0 {
 				emitted++
-				n.betaInsert(j.Out, tok, ctx, seq)
+				nr.out = n.passThrough(j, r, ctx, seq)
 			}
 		case ops5.Delete:
-			found := false
-			if indexed {
-				if count, ok := j.negDelete(j.leftHash(tok), tok); ok {
-					tested++
-					j.negCount--
-					if count == 0 {
-						emitted++
-						n.betaDelete(j.Out, tok, ctx, seq)
-					}
-					found = true
+			nr := r.takeNeg(j)
+			switch {
+			case nr == nil:
+				if !indexed {
+					tested += len(j.negList)
 				}
-			} else {
-				for idx, rec := range j.negRecords {
-					tested++
-					if rec.tok.EqualTo(tok) {
-						count := rec.count
-						j.negRecords = append(j.negRecords[:idx], j.negRecords[idx+1:]...)
-						if count == 0 {
-							emitted++
-							n.betaDelete(j.Out, tok, ctx, seq)
-						}
-						found = true
-						break
-					}
+				n.Stats.Anomalies++
+			case indexed:
+				tested++
+				j.negIdx.remove(nr)
+				j.negCount--
+			default:
+				// The list keeps arrival order, which right activations
+				// visit; tested counts the records a scan would pass.
+				tested += int(nr.slot) + 1
+				copy(j.negList[nr.slot:], j.negList[nr.slot+1:])
+				j.negList[len(j.negList)-1] = nil
+				j.negList = j.negList[:len(j.negList)-1]
+				for _, x := range j.negList[nr.slot:] {
+					x.slot--
 				}
 			}
-			if !found {
-				n.Stats.Anomalies++
+			if nr != nil {
+				if nr.count == 0 {
+					emitted++
+					n.betaRemove(nr.out, ctx, seq)
+				}
+				n.negs.put(&negBatches, nr)
 			}
 		}
-		n.Stats.TokenComparisons += int64(tested)
-		j.Prof.add(tested, emitted, indexed)
-		n.emit(ActivationEvent{
-			Seq: seq, Parent: parent, Change: ctx.change, Kind: KindNegLeft,
-			NodeID: j.ID, Dir: dir, TokensTested: tested, PairsEmitted: emitted,
-			SharedBy: j.SharedBy, Indexed: indexed, OppSize: len(j.Right.Items),
-		})
 	}
+	n.Stats.TokenComparisons += int64(tested)
+	j.Prof.add(tested, emitted, indexed)
+	n.emit(ActivationEvent{
+		Seq: seq, Parent: parent, Change: ctx.change, Kind: kind,
+		NodeID: j.ID, Dir: dir, TokensTested: tested, PairsEmitted: emitted,
+		SharedBy: j.SharedBy, Indexed: indexed, OppSize: len(j.Right.recs),
+	})
 }
 
-// betaInsert stores a token and propagates to joins and terminals.
-func (n *Network) betaInsert(bm *BetaMem, tok *Token, ctx *applyCtx, parent int64) {
-	bm.insert(tok)
-	for _, ix := range bm.indexes {
-		ix.insert(tok, bm.Tokens)
+// takeNeg unlinks and returns the record's negRec at not-node j, or nil.
+func (r *tokRec) takeNeg(j *JoinNode) *negRec {
+	for p := &r.negs; *p != nil; p = &(*p).next {
+		if nr := *p; nr.join == j {
+			*p = nr.next
+			nr.next = nil
+			return nr
+		}
 	}
+	return nil
+}
+
+// betaInsert stores a token record and propagates it to joins and
+// terminals.
+func (n *Network) betaInsert(bm *BetaMem, r *tokRec, ctx *applyCtx, parent int64) {
+	bm.store(r)
 	for _, j := range bm.Joins {
-		n.leftActivate(j, tok, ops5.Insert, ctx, parent)
+		n.leftActivate(j, r, ops5.Insert, ctx, parent)
 	}
-	for _, t := range bm.Terminals {
-		n.terminalActivate(t, tok, ops5.Insert, ctx, parent)
+	for i, t := range bm.Terminals {
+		n.terminalActivate(t, i, r, ops5.Insert, ctx, parent)
 	}
 }
 
-// betaDelete removes a token and propagates the removal.
-func (n *Network) betaDelete(bm *BetaMem, tok *Token, ctx *applyCtx, parent int64) {
-	if !bm.remove(tok) {
-		n.Stats.Anomalies++
-		return
-	}
-	for _, ix := range bm.indexes {
-		ix.remove(tok)
-	}
+// betaRemove unlinks a stored token record — from its memory's slot and
+// buckets and from its parents' kids chains, all by pointer — and
+// propagates the removal.
+func (n *Network) betaRemove(r *tokRec, ctx *applyCtx, parent int64) {
+	bm := r.mem
+	bm.unstore(r)
+	unjoinKid(r)
 	for _, j := range bm.Joins {
-		n.leftActivate(j, tok, ops5.Delete, ctx, parent)
+		n.leftActivate(j, r, ops5.Delete, ctx, parent)
 	}
-	for _, t := range bm.Terminals {
-		n.terminalActivate(t, tok, ops5.Delete, ctx, parent)
+	for i, t := range bm.Terminals {
+		n.terminalActivate(t, i, r, ops5.Delete, ctx, parent)
 	}
-}
-
-// betaDeleteExt removes the token formed by base plus w and propagates
-// the removal using the stored token, so the delete path never
-// materialises an extended token (see BetaMem.removeExt).
-func (n *Network) betaDeleteExt(bm *BetaMem, base *Token, w *ops5.WME, ctx *applyCtx, parent int64) {
-	tok, ok := bm.removeExt(base, w)
-	if !ok {
-		n.Stats.Anomalies++
-		return
-	}
-	for _, ix := range bm.indexes {
-		ix.remove(tok)
-	}
-	for _, j := range bm.Joins {
-		n.leftActivate(j, tok, ops5.Delete, ctx, parent)
-	}
-	for _, t := range bm.Terminals {
-		n.terminalActivate(t, tok, ops5.Delete, ctx, parent)
+	if r.kids == nil && r.negs == nil {
+		n.toks.put(&tokBatches, r)
 	}
 }
 
-// terminalActivate emits a conflict-set delta.
-func (n *Network) terminalActivate(t *Terminal, tok *Token, dir ops5.ChangeKind, ctx *applyCtx, parent int64) {
+// terminalActivate emits a conflict-set delta. The instantiation made
+// for the memory's first terminal stays on the record, so its removal
+// hands the conflict set the very instantiation it holds; other
+// terminals of a shared memory (productions with identical left-hand
+// sides) rebuild an equal one.
+func (n *Network) terminalActivate(t *Terminal, ti int, r *tokRec, dir ops5.ChangeKind, ctx *applyCtx, parent int64) {
 	seq := n.nextSeq()
 	n.Stats.Activations[KindTerm]++
-	key := tokenIDHash(tok)
-	var inst *ops5.Instantiation
 	if dir == ops5.Insert {
-		inst = t.Instantiate(tok)
-		if t.live == nil {
-			t.live = make(map[uint64]int32)
-			t.liveFree = -1
+		inst := t.Instantiate(&r.tok)
+		if ti == 0 {
+			r.inst = inst
 		}
-		t.liveAdd(key, tok, inst)
 		n.Stats.ConflictInserts++
 		if n.OnInsert != nil {
 			n.OnInsert(inst)
 		}
 	} else {
-		inst = t.liveTake(key, tok)
-		if inst == nil {
-			inst = t.Instantiate(tok)
+		inst := r.inst
+		if ti != 0 || inst == nil {
+			inst = t.Instantiate(&r.tok)
+		} else {
+			r.inst = nil
 		}
 		n.Stats.ConflictRemoves++
 		if n.OnRemove != nil {

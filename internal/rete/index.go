@@ -20,13 +20,15 @@ import (
 // re-verified with the node's full test chain: a key collision can only
 // widen a bucket, never fabricate or lose a match.
 //
-// Buckets are singly-linked chains through one append-only entry array
-// per index (int32 links, free-listed on removal), not per-key slices:
-// steady-state insertion and removal touch only the entry array and the
-// map's inline int32 value, so index upkeep does not allocate. This is
-// safe against iteration-during-mutation because the network is a DAG:
+// Alpha buckets are singly-linked chains through one append-only entry
+// array per index (int32 links, free-listed on removal), not per-key
+// slices, so index upkeep does not allocate. Beta and not-node buckets
+// are doubly-linked through the stored records themselves (chains): a
+// record carries its links and bucket slot, so removing it unlinks by
+// pointer, with no key to recompute and no chain to search. Walking a
+// bucket while propagating is safe because the network is a DAG:
 // propagation only ever mutates memories downstream of the one being
-// iterated.
+// walked.
 //
 // Nodes with no equality tests (pure predicate joins) keep the linear
 // scan; indexed not-nodes keep their count semantics but store the
@@ -105,11 +107,11 @@ func JoinHashFuncs(eq []JoinTest) (leftHash func(*Token) uint64, rightHash func(
 	return leftHash, rightHash
 }
 
-// wmeEntry is one chain link of an alphaIndex: the WME and the entry
-// index of the next link (-1 ends the chain; free-listed entries reuse
-// next as the free link).
+// wmeEntry is one chain link of an alphaIndex: the WME's record and the
+// entry index of the next link (-1 ends the chain; free-listed entries
+// reuse next as the free link).
 type wmeEntry struct {
-	w    *ops5.WME
+	r    *wmeRec
 	next int32
 }
 
@@ -133,8 +135,8 @@ func (ix *alphaIndex) key(w *ops5.WME) uint64 {
 	return h
 }
 
-// add links w into the bucket for key k, reusing a free entry if any.
-func (ix *alphaIndex) add(k uint64, w *ops5.WME) {
+// add links r into the bucket for key k, reusing a free entry if any.
+func (ix *alphaIndex) add(k uint64, r *wmeRec) {
 	head, ok := ix.buckets[k]
 	if !ok {
 		head = -1
@@ -143,45 +145,49 @@ func (ix *alphaIndex) add(k uint64, w *ops5.WME) {
 	if ix.free >= 0 {
 		i = ix.free
 		ix.free = ix.entries[i].next
-		ix.entries[i] = wmeEntry{w: w, next: head}
+		ix.entries[i] = wmeEntry{r: r, next: head}
 	} else {
 		i = int32(len(ix.entries))
-		ix.entries = append(ix.entries, wmeEntry{w: w, next: head})
+		ix.entries = append(ix.entries, wmeEntry{r: r, next: head})
 	}
 	ix.buckets[k] = i
 }
 
-// insert adds w to its bucket. items is the owning memory's current
-// population (already including w); the bucket map is built from it in
-// full when the memory first reaches linearProbeMin.
-func (ix *alphaIndex) insert(w *ops5.WME, items []*ops5.WME) {
-	if ix.buckets == nil {
-		if len(items) < linearProbeMin {
-			return
-		}
-		ix.buckets = make(map[uint64]int32, len(items))
-		ix.entries = make([]wmeEntry, 0, 2*len(items))
-		ix.free = -1
-		for _, x := range items {
-			ix.add(ix.key(x), x)
-		}
-		return
+// build creates the bucket map from the memory's records.
+func (ix *alphaIndex) build(recs []*wmeRec) {
+	ix.buckets = make(map[uint64]int32, len(recs))
+	ix.entries = make([]wmeEntry, 0, 2*len(recs))
+	ix.free = -1
+	for _, x := range recs {
+		ix.add(ix.key(x.w), x)
 	}
-	ix.add(ix.key(w), w)
 }
 
-func (ix *alphaIndex) remove(w *ops5.WME) {
+// insert adds r to its bucket. recs is the owning memory's current
+// population (already including r); the bucket map is built from it in
+// full when the memory first reaches linearProbeMin.
+func (ix *alphaIndex) insert(r *wmeRec, recs []*wmeRec) {
+	if ix.buckets == nil {
+		if len(recs) >= linearProbeMin {
+			ix.build(recs)
+		}
+		return
+	}
+	ix.add(ix.key(r.w), r)
+}
+
+func (ix *alphaIndex) remove(r *wmeRec) {
 	if ix.buckets == nil {
 		return
 	}
-	k := ix.key(w)
+	k := ix.key(r.w)
 	head, ok := ix.buckets[k]
 	if !ok {
 		return
 	}
 	prev := int32(-1)
 	for i := head; i >= 0; i = ix.entries[i].next {
-		if ix.entries[i].w == w {
+		if ix.entries[i].r == r {
 			next := ix.entries[i].next
 			if prev < 0 {
 				if next < 0 {
@@ -203,7 +209,7 @@ func (ix *alphaIndex) remove(w *ops5.WME) {
 // probe collects the bucket for key k into scratch's storage (grown as
 // needed and retained by the caller across probes, so steady-state
 // probing does not allocate) and returns the filled slice.
-func (ix *alphaIndex) probe(k uint64, scratch *[]*ops5.WME) []*ops5.WME {
+func (ix *alphaIndex) probe(k uint64, scratch *[]*wmeRec) []*wmeRec {
 	out := (*scratch)[:0]
 	head, ok := ix.buckets[k]
 	if !ok {
@@ -211,7 +217,7 @@ func (ix *alphaIndex) probe(k uint64, scratch *[]*ops5.WME) []*ops5.WME {
 		return out
 	}
 	for i := head; i >= 0; i = ix.entries[i].next {
-		out = append(out, ix.entries[i].w)
+		out = append(out, ix.entries[i].r)
 	}
 	*scratch = out
 	return out
@@ -232,27 +238,131 @@ func (ix *alphaIndex) bucketStats() (buckets, maxBucket int) {
 	return buckets, maxBucket
 }
 
+// link is a record's place in one hash bucket's doubly-linked chain.
+// With the bucket's slot in chains.heads, which the record keeps beside
+// it, the record can unlink itself by pointer: no key to recompute and
+// no chain to search.
+type link[R any] struct {
+	prev, next *R
+}
+
+// linked is a record type that carries bucket links; linkAt(i) is its
+// link in the i-th index over its memory and its bucket's slot there.
+type linked[R any] interface {
+	*R
+	linkAt(i int) (l *link[R], bucket *int32)
+}
+
+// chainHead is one bucket: its key and first record.
+type chainHead[R any] struct {
+	key   uint64
+	first *R
+}
+
+// chains buckets records by join-key hash. slots maps a key to its
+// bucket's slot in heads; emptied slots are free-listed, so steady-state
+// upkeep allocates nothing. New records go to the front of their bucket.
+// li selects which of a record's links this index owns.
+type chains[R any, P linked[R]] struct {
+	li    int
+	slots map[uint64]int32
+	heads []chainHead[R]
+	free  []int32
+}
+
+func newChains[R any, P linked[R]](li int) *chains[R, P] {
+	return &chains[R, P]{li: li, slots: make(map[uint64]int32)}
+}
+
+// first returns the front record of key k's bucket, or nil.
+func (c *chains[R, P]) first(k uint64) P {
+	if b, ok := c.slots[k]; ok {
+		return c.heads[b].first
+	}
+	return nil
+}
+
+// next returns the record after r in its bucket, or nil.
+func (c *chains[R, P]) next(r P) P {
+	l, _ := r.linkAt(c.li)
+	return l.next
+}
+
+// add links r at the front of key k's bucket.
+func (c *chains[R, P]) add(k uint64, r P) {
+	b, ok := c.slots[k]
+	if !ok {
+		if n := len(c.free); n > 0 {
+			b = c.free[n-1]
+			c.free = c.free[:n-1]
+		} else {
+			b = int32(len(c.heads))
+			c.heads = append(c.heads, chainHead[R]{})
+		}
+		c.heads[b] = chainHead[R]{key: k}
+		c.slots[k] = b
+	}
+	h := &c.heads[b]
+	l, bucket := r.linkAt(c.li)
+	*l, *bucket = link[R]{next: h.first}, b
+	if h.first != nil {
+		fl, _ := P(h.first).linkAt(c.li)
+		fl.prev = r
+	}
+	h.first = r
+}
+
+// remove unlinks r from its bucket, dropping the bucket when it empties.
+func (c *chains[R, P]) remove(r P) {
+	l, bucket := r.linkAt(c.li)
+	if l.prev != nil {
+		pl, _ := P(l.prev).linkAt(c.li)
+		pl.next = l.next
+	} else {
+		h := &c.heads[*bucket]
+		h.first = l.next
+		if h.first == nil {
+			delete(c.slots, h.key)
+			c.free = append(c.free, *bucket)
+		}
+	}
+	if l.next != nil {
+		nl, _ := P(l.next).linkAt(c.li)
+		nl.prev = l.prev
+	}
+	*l = link[R]{}
+}
+
+// stats reports the live bucket count and largest bucket population.
+func (c *chains[R, P]) stats() (buckets, maxBucket int) {
+	for _, b := range c.slots {
+		buckets++
+		n := 0
+		for r := P(c.heads[b].first); r != nil; r = c.next(r) {
+			n++
+		}
+		if n > maxBucket {
+			maxBucket = n
+		}
+	}
+	return buckets, maxBucket
+}
+
 // betaCol is one column of a beta index key: token position and attr.
 type betaCol struct {
 	idx  int
 	attr sym.ID
 }
 
-// tokEntry is one chain link of a betaIndex (see wmeEntry).
-type tokEntry struct {
-	tok  *Token
-	next int32
-}
-
 // betaIndex is a hash index over a beta memory's tokens, keyed by the
 // values of cols (the LeftIdx/LeftID columns of one equality spec).
-// As with alphaIndex, buckets stays nil until the memory first reaches
-// linearProbeMin tokens.
+// As with alphaIndex, the buckets stay unbuilt (nil) until the memory
+// first reaches linearProbeMin tokens. li is the index's position in
+// its memory's indexes, which selects the records' link.
 type betaIndex struct {
-	cols    []betaCol
-	buckets map[uint64]int32
-	entries []tokEntry
-	free    int32
+	cols []betaCol
+	li   int
+	bkts *chains[tokRec, *tokRec]
 }
 
 func (ix *betaIndex) key(tok *Token) uint64 {
@@ -263,102 +373,33 @@ func (ix *betaIndex) key(tok *Token) uint64 {
 	return h
 }
 
-// add links tok into the bucket for key k, reusing a free entry if any.
-func (ix *betaIndex) add(k uint64, tok *Token) {
-	head, ok := ix.buckets[k]
-	if !ok {
-		head = -1
+// build creates the buckets from the memory's records, each linked at
+// the front in turn.
+func (ix *betaIndex) build(recs []*tokRec) {
+	ix.bkts = newChains[tokRec](ix.li)
+	for _, r := range recs {
+		ix.bkts.add(ix.key(&r.tok), r)
 	}
-	var i int32
-	if ix.free >= 0 {
-		i = ix.free
-		ix.free = ix.entries[i].next
-		ix.entries[i] = tokEntry{tok: tok, next: head}
-	} else {
-		i = int32(len(ix.entries))
-		ix.entries = append(ix.entries, tokEntry{tok: tok, next: head})
-	}
-	ix.buckets[k] = i
 }
 
-// insert adds tok to its bucket. tokens is the owning memory's current
-// population (already including tok); the bucket map is built from it
-// in full when the memory first reaches linearProbeMin.
-func (ix *betaIndex) insert(tok *Token, tokens []*Token) {
-	if ix.buckets == nil {
-		if len(tokens) < linearProbeMin {
-			return
-		}
-		ix.buckets = make(map[uint64]int32, len(tokens))
-		ix.entries = make([]tokEntry, 0, 2*len(tokens))
-		ix.free = -1
-		for _, x := range tokens {
-			ix.add(ix.key(x), x)
+// insert links r into its bucket. recs is the owning memory's current
+// population (already including r); the buckets are built from it in
+// full when the memory first reaches linearProbeMin.
+func (ix *betaIndex) insert(r *tokRec, recs []*tokRec) {
+	if ix.bkts == nil {
+		if len(recs) >= linearProbeMin {
+			ix.build(recs)
 		}
 		return
 	}
-	ix.add(ix.key(tok), tok)
+	ix.bkts.add(ix.key(&r.tok), r)
 }
 
-func (ix *betaIndex) remove(tok *Token) {
-	if ix.buckets == nil {
-		return
+// remove unlinks r from its bucket.
+func (ix *betaIndex) remove(r *tokRec) {
+	if ix.bkts != nil {
+		ix.bkts.remove(r)
 	}
-	k := ix.key(tok)
-	head, ok := ix.buckets[k]
-	if !ok {
-		return
-	}
-	prev := int32(-1)
-	for i := head; i >= 0; i = ix.entries[i].next {
-		if ix.entries[i].tok.EqualTo(tok) {
-			next := ix.entries[i].next
-			if prev < 0 {
-				if next < 0 {
-					delete(ix.buckets, k)
-				} else {
-					ix.buckets[k] = next
-				}
-			} else {
-				ix.entries[prev].next = next
-			}
-			ix.entries[i] = tokEntry{next: ix.free}
-			ix.free = i
-			return
-		}
-		prev = i
-	}
-}
-
-// probe collects the bucket for key k into scratch's storage (see
-// alphaIndex.probe) and returns the filled slice.
-func (ix *betaIndex) probe(k uint64, scratch *[]*Token) []*Token {
-	out := (*scratch)[:0]
-	head, ok := ix.buckets[k]
-	if !ok {
-		*scratch = out
-		return out
-	}
-	for i := head; i >= 0; i = ix.entries[i].next {
-		out = append(out, ix.entries[i].tok)
-	}
-	*scratch = out
-	return out
-}
-
-// bucketStats reports the live bucket count and largest chain length.
-func (ix *betaIndex) bucketStats() (buckets, maxBucket int) {
-	for _, head := range ix.buckets {
-		buckets++
-		n := 0
-		for i := head; i >= 0; i = ix.entries[i].next {
-			n++
-		}
-		if n > maxBucket {
-			maxBucket = n
-		}
-	}
-	return buckets, maxBucket
 }
 
 // indexFor returns this alpha memory's index for the given equality
@@ -375,12 +416,8 @@ func (am *AlphaMem) indexFor(eq []JoinTest) *alphaIndex {
 		}
 	}
 	ix := &alphaIndex{attrs: attrs, free: -1}
-	if len(am.Items) >= linearProbeMin {
-		ix.buckets = make(map[uint64]int32, len(am.Items))
-		ix.entries = make([]wmeEntry, 0, 2*len(am.Items))
-		for _, w := range am.Items {
-			ix.add(ix.key(w), w)
-		}
+	if len(am.recs) >= linearProbeMin {
+		ix.build(am.recs)
 	}
 	am.indexes = append(am.indexes, ix)
 	return ix
@@ -398,13 +435,9 @@ func (bm *BetaMem) indexFor(eq []JoinTest) *betaIndex {
 			return ix
 		}
 	}
-	ix := &betaIndex{cols: cols, free: -1}
-	if len(bm.Tokens) >= linearProbeMin {
-		ix.buckets = make(map[uint64]int32, len(bm.Tokens))
-		ix.entries = make([]tokEntry, 0, 2*len(bm.Tokens))
-		for _, tok := range bm.Tokens {
-			ix.add(ix.key(tok), tok)
-		}
+	ix := &betaIndex{cols: cols, li: len(bm.indexes)}
+	if len(bm.recs) >= linearProbeMin {
+		ix.build(bm.recs)
 	}
 	bm.indexes = append(bm.indexes, ix)
 	return ix
@@ -452,9 +485,12 @@ func (n *Network) prepare() {
 		j.rightIdx = j.Right.indexFor(eq)
 		j.leftIdx = j.Left.indexFor(eq)
 		if j.Kind == JoinNegative {
-			j.negIndex = make(map[uint64]int32)
-			j.negFree = -1
+			j.negIdx = newChains[negRec](0)
 		}
+	}
+	n.ctx.counts = make([]int32, len(n.prods)+1)
+	for i := range n.ctx.counts {
+		n.ctx.counts[i] = -1
 	}
 }
 
@@ -485,15 +521,10 @@ func (n *Network) IndexInfo() IndexInfo {
 		} else {
 			info.FallbackJoins++
 		}
-		for _, head := range j.negIndex {
-			info.Buckets++
-			b := 0
-			for e := head; e >= 0; e = j.negEntries[e].next {
-				b++
-			}
-			if b > info.MaxBucket {
-				info.MaxBucket = b
-			}
+		if j.negIdx != nil {
+			b, mx := j.negIdx.stats()
+			info.Buckets += b
+			info.MaxBucket = max(info.MaxBucket, mx)
 		}
 	}
 	for _, am := range n.alphas {
@@ -509,10 +540,10 @@ func (n *Network) IndexInfo() IndexInfo {
 	for _, bm := range n.betas {
 		info.BetaIndexes += len(bm.indexes)
 		for _, ix := range bm.indexes {
-			b, mx := ix.bucketStats()
-			info.Buckets += b
-			if mx > info.MaxBucket {
-				info.MaxBucket = mx
+			if ix.bkts != nil {
+				b, mx := ix.bkts.stats()
+				info.Buckets += b
+				info.MaxBucket = max(info.MaxBucket, mx)
 			}
 		}
 	}

@@ -43,53 +43,63 @@ func bucketSnapshot(t *testing.T, n *Network) string {
 					counts[k] = n
 					total += n
 				}
-				if total != len(am.Items) {
-					t.Errorf("alpha%d.%d: %d bucketed items, memory holds %d", am.ID, ii, total, len(am.Items))
+				if total != am.Len() {
+					t.Errorf("alpha%d.%d: %d bucketed items, memory holds %d", am.ID, ii, total, am.Len())
 				}
 			} else {
-				for _, w := range am.Items {
-					counts[ix.key(w)]++
+				for _, r := range am.recs {
+					counts[ix.key(r.w)]++
 				}
 			}
 			render(fmt.Sprintf("alpha%d.%d", am.ID, ii), counts)
 		}
 	}
 	for _, bm := range n.betas {
+		for i, r := range bm.recs {
+			if int(r.slot) != i || r.mem != bm {
+				t.Errorf("beta%d: record at %d says slot %d", bm.ID, i, r.slot)
+			}
+		}
 		for ii, ix := range bm.indexes {
 			counts := make(map[uint64]int)
-			if ix.buckets != nil {
+			if ix.bkts != nil {
 				total := 0
-				for k, head := range ix.buckets {
+				for k, b := range ix.bkts.slots {
 					n := 0
-					for i := head; i >= 0; i = ix.entries[i].next {
+					var prev *tokRec
+					for r := ix.bkts.heads[b].first; r != nil; r = ix.bkts.next(r) {
+						if l, lb := r.linkAt(ix.li); l.prev != prev || *lb != b || ix.key(&r.tok) != k {
+							t.Errorf("beta%d.%d: bucket %#x has a mislinked record", bm.ID, ii, k)
+						}
+						prev = r
 						n++
 					}
 					counts[k] = n
 					total += n
 				}
-				if total != len(bm.Tokens) {
-					t.Errorf("beta%d.%d: %d bucketed tokens, memory holds %d", bm.ID, ii, total, len(bm.Tokens))
+				if total != bm.Len() {
+					t.Errorf("beta%d.%d: %d bucketed tokens, memory holds %d", bm.ID, ii, total, bm.Len())
 				}
 			} else {
-				for _, tok := range bm.Tokens {
-					counts[ix.key(tok)]++
+				for _, r := range bm.recs {
+					counts[ix.key(&r.tok)]++
 				}
 			}
 			render(fmt.Sprintf("beta%d.%d", bm.ID, ii), counts)
 		}
 	}
 	for _, j := range n.joins {
-		if j.negIndex != nil {
+		if j.negIdx != nil {
 			lines = append(lines, fmt.Sprintf("join%d negCount=%d", j.ID, j.negCount))
-			for k, head := range j.negIndex {
-				b := 0
-				for e := head; e >= 0; e = j.negEntries[e].next {
-					b++
+			for k, b := range j.negIdx.slots {
+				n := 0
+				for r := j.negIdx.heads[b].first; r != nil; r = j.negIdx.next(r) {
+					n++
 				}
-				lines = append(lines, fmt.Sprintf("join%d %#x=%d", j.ID, k, b))
+				lines = append(lines, fmt.Sprintf("join%d %#x=%d", j.ID, k, n))
 			}
 		} else {
-			lines = append(lines, fmt.Sprintf("join%d negRecords=%d", j.ID, len(j.negRecords)))
+			lines = append(lines, fmt.Sprintf("join%d negRecords=%d", j.ID, len(j.negList)))
 		}
 	}
 	sort.Strings(lines)

@@ -129,19 +129,23 @@ type ConstNode struct {
 // AlphaMem stores the WMEs passing one condition element's constant
 // tests, and feeds the two-input nodes attached to its output.
 type AlphaMem struct {
-	ID    int
-	Items []*ops5.WME
+	ID int
+	// recs holds one record per stored WME. Order carries no meaning:
+	// removal swaps the last record into the hole.
+	recs []*wmeRec
 	// Succs are the two-input nodes whose right input is this memory.
 	Succs []*JoinNode
 	// ProdRefs lists the (production, LHS index) pairs reading this
 	// memory; used for affected-production statistics (§4, E9).
 	ProdRefs []ProdRef
-	// indexes are the equality-join hash indexes over Items, built at
+	// indexes are the equality-join hash indexes over recs, built at
 	// prepare time and shared between joins with the same key spec.
 	indexes []*alphaIndex
-	// pos maps each item to its slice position for O(1) removal.
-	pos map[*ops5.WME]int
-	// Mu guards Items in the parallel runtime only.
+	// pos maps each stored WME to its record once the memory reaches
+	// linearProbeMin items (a short scan finds it before then). A WM
+	// change names its WME, so this is the one lookup removal needs.
+	pos map[*ops5.WME]*wmeRec
+	// Mu guards the memory in the parallel runtime only.
 	Mu sync.Mutex
 }
 
@@ -149,56 +153,68 @@ type AlphaMem struct {
 type ProdRef struct {
 	Production *ops5.Production
 	CE         int
+	// ord is the production's ordinal in the network, indexing the
+	// per-change affected-production counters.
+	ord int
 }
 
-// insert appends w, recording its position once the memory is large
-// enough that linear removal would cost more than map upkeep. The
-// position map is built lazily at the linearProbeMin crossing and kept
-// thereafter.
-func (am *AlphaMem) insert(w *ops5.WME) {
-	if am.pos == nil && len(am.Items) >= linearProbeMin {
-		am.pos = make(map[*ops5.WME]int, len(am.Items)+1)
-		for i, x := range am.Items {
-			am.pos[x] = i
+// wmeRec is one WME stored in one alpha memory. kids chains the tokens
+// that joined a left token with this WME at the joins reading the
+// memory (through tokRec.prevW/nextW), so a right removal reaches them
+// by pointer. stash is scratch for a left removal, which parks the
+// removed token's child here to pair it with the re-join's match.
+type wmeRec struct {
+	w     *ops5.WME
+	slot  int32
+	kids  *tokRec
+	stash *tokRec
+}
+
+// Len returns the number of WMEs stored.
+func (am *AlphaMem) Len() int { return len(am.recs) }
+
+// insert stores w and returns its record. The position map is built
+// lazily at the linearProbeMin crossing and kept thereafter.
+func (am *AlphaMem) insert(n *Network, w *ops5.WME) *wmeRec {
+	r := n.wrecs.get(&wmeBatches)
+	r.w, r.slot = w, int32(len(am.recs))
+	if am.pos == nil && len(am.recs) >= linearProbeMin {
+		am.pos = make(map[*ops5.WME]*wmeRec, len(am.recs)+1)
+		for _, x := range am.recs {
+			am.pos[x.w] = x
 		}
 	}
 	if am.pos != nil {
-		am.pos[w] = len(am.Items)
+		am.pos[w] = r
 	}
-	am.Items = append(am.Items, w)
+	am.recs = append(am.recs, r)
+	return r
 }
 
-// remove deletes one occurrence of w, reporting whether it was present.
-// The last item is swapped into the hole (memory order carries no
-// meaning), so removal is O(1) via the position map once it exists, and
-// a short scan before then.
-func (am *AlphaMem) remove(w *ops5.WME) bool {
+// remove deletes w's record and returns it, or nil when w is absent.
+// The last record moves into the hole.
+func (am *AlphaMem) remove(w *ops5.WME) *wmeRec {
+	var r *wmeRec
 	if am.pos == nil {
-		for i, x := range am.Items {
-			if x == w {
-				last := len(am.Items) - 1
-				am.Items[i] = am.Items[last]
-				am.Items[last] = nil
-				am.Items = am.Items[:last]
-				return true
+		for _, x := range am.recs {
+			if x.w == w {
+				r = x
+				break
 			}
 		}
-		return false
+	} else if r = am.pos[w]; r != nil {
+		delete(am.pos, w)
 	}
-	i, ok := am.pos[w]
-	if !ok {
-		return false
+	if r == nil {
+		return nil
 	}
-	delete(am.pos, w)
-	last := len(am.Items) - 1
-	if i != last {
-		moved := am.Items[last]
-		am.Items[i] = moved
-		am.pos[moved] = i
-	}
-	am.Items[last] = nil
-	am.Items = am.Items[:last]
-	return true
+	last := len(am.recs) - 1
+	moved := am.recs[last]
+	am.recs[r.slot] = moved
+	moved.slot = r.slot
+	am.recs[last] = nil
+	am.recs = am.recs[:last]
+	return r
 }
 
 // Token is a sequence of WMEs matching the positive condition elements
@@ -212,16 +228,32 @@ type Token struct {
 
 // Extend returns a new token with w appended.
 func (t *Token) Extend(w *ops5.WME) *Token {
-	n := len(t.WMEs) + 1
 	nt := &Token{}
-	if n <= len(nt.arr) {
-		nt.WMEs = nt.arr[:n]
-	} else {
-		nt.WMEs = make([]*ops5.WME, n)
-	}
-	copy(nt.WMEs, t.WMEs)
-	nt.WMEs[n-1] = w
+	nt.extendFrom(t, w)
 	return nt
+}
+
+// extendFrom sets t to base's WMEs followed by w (when w is non-nil).
+// A copy without w longer than the inline storage shares base's
+// immutable slice.
+func (t *Token) extendFrom(base *Token, w *ops5.WME) {
+	n := len(base.WMEs)
+	if w == nil && n > len(t.arr) {
+		t.WMEs = base.WMEs
+		return
+	}
+	if w != nil {
+		n++
+	}
+	if n <= len(t.arr) {
+		t.WMEs = t.arr[:n]
+	} else {
+		t.WMEs = make([]*ops5.WME, n)
+	}
+	copy(t.WMEs, base.WMEs)
+	if w != nil {
+		t.WMEs[n-1] = w
+	}
 }
 
 // EqualTo reports structural equality (same WME pointers in order).
@@ -246,227 +278,214 @@ func (t *Token) String() string {
 	return "[" + strings.Join(parts, " ") + "]"
 }
 
+// TokenIDHash folds a token's identity — its WMEs' time tags in order —
+// into a uint64. The parallel matcher keys its counted token multisets
+// on it. Equal tokens (same WME sequence) always hash equal; collisions
+// are possible, so callers re-verify candidates with EqualTo.
+func TokenIDHash(tok *Token) uint64 {
+	const prime = 1099511628211
+	h := ops5.HashSeed
+	for _, w := range tok.WMEs {
+		bits := uint64(w.TimeTag)
+		for i := 0; i < 4; i++ {
+			h = (h ^ (bits & 0xffff)) * prime
+			bits >>= 16
+		}
+	}
+	return h
+}
+
 // BetaMem stores the tokens matching a prefix of a production's positive
 // condition elements and feeds the two-input nodes using it as left
 // input, plus any terminals.
 type BetaMem struct {
-	ID     int
-	Tokens []*Token
+	ID int
+	// recs holds one record per stored token; each record knows its
+	// slot, so removal swaps the last record into the hole without a
+	// lookup. Order carries no meaning.
+	recs []*tokRec
 	// Joins are the two-input nodes whose left input is this memory.
 	Joins []*JoinNode
 	// Terminals fire when tokens reach this memory.
 	Terminals []*Terminal
-	// indexes are the equality-join hash indexes over Tokens, built at
+	// indexes are the equality-join hash indexes over recs, built at
 	// prepare time and shared between joins with the same key spec.
+	// Index i links its records through tokRec.linkAt(i).
 	indexes []*betaIndex
-	// pos maps token identity hashes to slice positions for O(1)
-	// removal. A bucket is a chain through posEntries (time tags make
-	// chains unique, so buckets are single-entry in practice; EqualTo
-	// re-verifies either way). Chained int32 entries with a free list
-	// keep steady-state upkeep allocation-free.
-	pos        map[uint64]int32
-	posEntries []posEntry
-	posFree    int32
-	// Mu guards Tokens in the parallel runtime only.
+	// Mu guards the memory in the parallel runtime only.
 	Mu sync.Mutex
 }
 
-// tokenIDHash folds a token's identity — its WMEs' time tags in
-// order — into a uint64 map key for O(1) structural lookup. The hash is
-// not injective, so lookups re-verify candidates with EqualTo.
-func tokenIDHash(tok *Token) uint64 {
-	h := ops5.HashSeed
-	for _, w := range tok.WMEs {
-		h = hashTag(h, w.TimeTag)
-	}
-	return h
+// Len returns the number of tokens stored.
+func (bm *BetaMem) Len() int { return len(bm.recs) }
+
+// tokRec is one token stored in one beta memory of the serial network,
+// with every link its removal needs, so no removal searches:
+//   - slot is its position in mem.recs;
+//   - link, bucket and more are its places in the memory's join-key
+//     buckets;
+//   - parent and wrec are the left token and alpha record it was joined
+//     from; it sits in both their kids chains (the Rete/UL token tree),
+//     which is how a removal on either input finds it by pointer;
+//   - negs are its records at the not-nodes reading its memory;
+//   - inst is its live instantiation at mem.Terminals[0].
+//
+// A not-node's pass-through token is a record of its own in the node's
+// output memory (parent and wrec nil), reached from its negRec.
+type tokRec struct {
+	tok  Token
+	mem  *BetaMem
+	slot int32
+	// bucket is the slot of the record's bucket in mem.indexes[0].
+	bucket int32
+	// parent.kids and wrec.kids chains.
+	parent           *tokRec
+	wrec             *wmeRec
+	prevKid, nextKid *tokRec
+	prevW, nextW     *tokRec
+	// kids chains the tokens extending this one, through prevKid/nextKid.
+	kids *tokRec
+	negs *negRec
+	inst *ops5.Instantiation
+	// stash is scratch for a right removal, which parks this token's
+	// child here to pair it with the re-join's match.
+	stash *tokRec
+	link  link[tokRec]
+	// more holds the links for mem.indexes[1:], in the rare memories
+	// that feed joins with different key specs.
+	more *[]extraLink
 }
 
-// hashTag folds one time tag into an identity hash.
-func hashTag(h uint64, tag int) uint64 {
-	const prime = 1099511628211
-	bits := uint64(tag)
-	for i := 0; i < 4; i++ {
-		h = (h ^ (bits & 0xffff)) * prime
-		bits >>= 16
-	}
-	return h
+// extraLink is a tokRec's link in one of its memory's further indexes.
+type extraLink struct {
+	link   link[tokRec]
+	bucket int32
 }
 
-// TokenIDHash is the exported token identity hash used by the parallel
-// matcher to key its counted token multisets. Equal tokens (same WME
-// sequence) always hash equal; collisions are possible, so callers
-// re-verify candidates with EqualTo.
-func TokenIDHash(tok *Token) uint64 { return tokenIDHash(tok) }
-
-// insert appends tok, recording its position under its identity key
-// once the memory is large enough that linear removal would cost more
-// than key computation and map upkeep. The position map is built lazily
-// at the linearProbeMin crossing and kept thereafter.
-func (bm *BetaMem) insert(tok *Token) {
-	if bm.pos == nil && len(bm.Tokens) >= linearProbeMin {
-		bm.pos = make(map[uint64]int32, len(bm.Tokens)+1)
-		bm.posEntries = make([]posEntry, 0, 2*len(bm.Tokens))
-		bm.posFree = -1
-		for i, t := range bm.Tokens {
-			bm.posAdd(tokenIDHash(t), int32(i))
-		}
+// linkAt returns the record's link in its memory's index i.
+func (r *tokRec) linkAt(i int) (*link[tokRec], *int32) {
+	if i == 0 {
+		return &r.link, &r.bucket
 	}
-	if bm.pos != nil {
-		bm.posAdd(tokenIDHash(tok), int32(len(bm.Tokens)))
+	if r.more == nil {
+		r.more = new([]extraLink)
 	}
-	bm.Tokens = append(bm.Tokens, tok)
+	for len(*r.more) < i {
+		*r.more = append(*r.more, extraLink{})
+	}
+	e := &(*r.more)[i-1]
+	return &e.link, &e.bucket
 }
 
-// posEntry is one chain link of the position map: a token position and
-// the entry index of the next link (-1 ends the chain; free-listed
-// entries reuse next as the free link).
-type posEntry struct {
-	pos  int32
-	next int32
+// store appends r to the memory and links it into every built index.
+func (bm *BetaMem) store(r *tokRec) {
+	r.mem = bm
+	r.slot = int32(len(bm.recs))
+	bm.recs = append(bm.recs, r)
+	for _, ix := range bm.indexes {
+		ix.insert(r, bm.recs)
+	}
 }
 
-// posAdd links position p under identity key k.
-func (bm *BetaMem) posAdd(k uint64, p int32) {
-	head, ok := bm.pos[k]
-	if !ok {
-		head = -1
+// unstore removes r from the memory by its slot (the last record moves
+// into the hole) and unlinks it from every index.
+func (bm *BetaMem) unstore(r *tokRec) {
+	last := len(bm.recs) - 1
+	moved := bm.recs[last]
+	bm.recs[r.slot] = moved
+	moved.slot = r.slot
+	bm.recs[last] = nil
+	bm.recs = bm.recs[:last]
+	for _, ix := range bm.indexes {
+		ix.remove(r)
 	}
-	var i int32
-	if bm.posFree >= 0 {
-		i = bm.posFree
-		bm.posFree = bm.posEntries[i].next
-		bm.posEntries[i] = posEntry{pos: p, next: head}
-	} else {
-		i = int32(len(bm.posEntries))
-		bm.posEntries = append(bm.posEntries, posEntry{pos: p, next: head})
-	}
-	bm.pos[k] = i
 }
 
-// posDelete unlinks the entry for key k holding position p.
-func (bm *BetaMem) posDelete(k uint64, p int32) {
-	head, ok := bm.pos[k]
-	if !ok {
+// joinKid links kid, the token formed from parent and wr, into both
+// parents' kids chains.
+func joinKid(kid, parent *tokRec, wr *wmeRec) {
+	kid.parent, kid.wrec = parent, wr
+	kid.nextKid = parent.kids
+	if parent.kids != nil {
+		parent.kids.prevKid = kid
+	}
+	parent.kids = kid
+	kid.nextW = wr.kids
+	if wr.kids != nil {
+		wr.kids.prevW = kid
+	}
+	wr.kids = kid
+}
+
+// unjoinKid unlinks kid from its parents' kids chains.
+func unjoinKid(kid *tokRec) {
+	if kid.parent == nil {
 		return
 	}
-	prev := int32(-1)
-	for i := head; i >= 0; i = bm.posEntries[i].next {
-		if bm.posEntries[i].pos == p {
-			next := bm.posEntries[i].next
-			if prev < 0 {
-				if next < 0 {
-					delete(bm.pos, k)
-				} else {
-					bm.pos[k] = next
-				}
-			} else {
-				bm.posEntries[prev].next = next
-			}
-			bm.posEntries[i] = posEntry{next: bm.posFree}
-			bm.posFree = i
-			return
-		}
-		prev = i
+	if kid.prevKid != nil {
+		kid.prevKid.nextKid = kid.nextKid
+	} else {
+		kid.parent.kids = kid.nextKid
+	}
+	if kid.nextKid != nil {
+		kid.nextKid.prevKid = kid.prevKid
+	}
+	if kid.prevW != nil {
+		kid.prevW.nextW = kid.nextW
+	} else {
+		kid.wrec.kids = kid.nextW
+	}
+	if kid.nextW != nil {
+		kid.nextW.prevW = kid.prevW
 	}
 }
 
-// remove deletes one token structurally equal to tok, reporting
-// presence. Lookup goes through the identity-key position map once it
-// exists (a short EqualTo scan before then) and the hole is filled by
-// swapping in the last token (token order carries no meaning), so
-// removal is O(1) instead of a linear EqualTo scan.
-func (bm *BetaMem) remove(tok *Token) bool {
-	if bm.pos == nil {
-		for i, t := range bm.Tokens {
-			if t.EqualTo(tok) {
-				bm.swapRemove(i)
-				return true
-			}
+// recBatch is how many records a network's free list holds before it
+// hands them to the shared pool, and how many it takes back at once.
+const recBatch = 256
+
+// Removed records are recycled. Streaming traffic retracts and rebuilds
+// most of the match state every batch, so reusing records keeps that
+// state from becoming garbage. Each network keeps a free list of at most
+// recBatch records per type (its own goroutine is the only user) and
+// trades full batches with a sync.Pool shared by every network, so a
+// record costs a slice push and pop, idle sessions pin next to nothing,
+// and the garbage collector drains what no network takes back.
+var (
+	tokBatches sync.Pool
+	negBatches sync.Pool
+	wmeBatches sync.Pool
+)
+
+// recycler is one network's free list of T, backed by a shared pool of
+// full batches (*[]*T).
+type recycler[T any] struct{ free []*T }
+
+func (c *recycler[T]) get(shared *sync.Pool) *T {
+	if len(c.free) == 0 {
+		b, ok := shared.Get().(*[]*T)
+		if !ok {
+			return new(T)
 		}
-		return false
+		c.free = *b
 	}
-	key := tokenIDHash(tok)
-	head, ok := bm.pos[key]
-	if !ok {
-		return false
-	}
-	for e := head; e >= 0; e = bm.posEntries[e].next {
-		p := bm.posEntries[e].pos
-		if !bm.Tokens[p].EqualTo(tok) {
-			continue
-		}
-		bm.posDelete(key, p)
-		bm.swapRemove(int(p))
-		return true
-	}
-	return false
+	r := c.free[len(c.free)-1]
+	c.free[len(c.free)-1] = nil
+	c.free = c.free[:len(c.free)-1]
+	return r
 }
 
-// removeExt deletes the token formed by base's WMEs plus w without
-// materialising it, returning the stored token so the caller can
-// propagate the removal downstream. It is the delete-path counterpart of
-// insert(base.Extend(w)) and saves one token allocation per removal.
-func (bm *BetaMem) removeExt(base *Token, w *ops5.WME) (*Token, bool) {
-	if bm.pos == nil {
-		for i, t := range bm.Tokens {
-			if extEqual(t, base, w) {
-				bm.swapRemove(i)
-				return t, true
-			}
-		}
-		return nil, false
+// put zeroes r and keeps it; a record goes back only once nothing links
+// to it.
+func (c *recycler[T]) put(shared *sync.Pool, r *T) {
+	var zero T
+	*r = zero
+	if len(c.free) == recBatch {
+		full := c.free
+		shared.Put(&full)
+		c.free = make([]*T, 0, recBatch)
 	}
-	key := hashTag(tokenIDHash(base), w.TimeTag)
-	head, ok := bm.pos[key]
-	if !ok {
-		return nil, false
-	}
-	for e := head; e >= 0; e = bm.posEntries[e].next {
-		p := bm.posEntries[e].pos
-		t := bm.Tokens[p]
-		if !extEqual(t, base, w) {
-			continue
-		}
-		bm.posDelete(key, p)
-		bm.swapRemove(int(p))
-		return t, true
-	}
-	return nil, false
-}
-
-// extEqual reports whether t equals base extended by w.
-func extEqual(t, base *Token, w *ops5.WME) bool {
-	n := len(base.WMEs)
-	if len(t.WMEs) != n+1 || t.WMEs[n] != w {
-		return false
-	}
-	for i := 0; i < n; i++ {
-		if t.WMEs[i] != base.WMEs[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// swapRemove deletes Tokens[i] by moving the last token into the hole
-// and updating that token's position entry.
-func (bm *BetaMem) swapRemove(i int) {
-	last := len(bm.Tokens) - 1
-	if i != last {
-		moved := bm.Tokens[last]
-		bm.Tokens[i] = moved
-		if bm.pos != nil {
-			for e := bm.pos[tokenIDHash(moved)]; e >= 0; e = bm.posEntries[e].next {
-				if int(bm.posEntries[e].pos) == last {
-					bm.posEntries[e].pos = int32(i)
-					break
-				}
-			}
-		}
-	}
-	bm.Tokens[last] = nil
-	bm.Tokens = bm.Tokens[:last]
+	c.free = append(c.free, r)
 }
 
 // JoinTest is one inter-element variable consistency test evaluated at a
@@ -501,65 +520,23 @@ const (
 	JoinNegative
 )
 
-// negRecord is a left token stored in a not-node with its count of
-// matching right WMEs.
-type negEntry struct {
-	rec  negRecord
-	next int32
+// negRec is a left token's state at one not-node: how many right WMEs
+// match it, and while that count is zero, its pass-through record in
+// the node's output memory. The left record chains its negRecs through
+// next; an indexed not-node buckets them by join key through link, an
+// unindexed one keeps them in negList at slot.
+type negRec struct {
+	left   *tokRec
+	join   *JoinNode
+	count  int32
+	slot   int32
+	out    *tokRec
+	next   *negRec
+	link   link[negRec]
+	bucket int32
 }
 
-// negAdd links rec under join-key hash k in the indexed not-node state.
-func (j *JoinNode) negAdd(k uint64, rec negRecord) {
-	head, ok := j.negIndex[k]
-	if !ok {
-		head = -1
-	}
-	var i int32
-	if j.negFree >= 0 {
-		i = j.negFree
-		j.negFree = j.negEntries[i].next
-		j.negEntries[i] = negEntry{rec: rec, next: head}
-	} else {
-		i = int32(len(j.negEntries))
-		j.negEntries = append(j.negEntries, negEntry{rec: rec, next: head})
-	}
-	j.negIndex[k] = i
-}
-
-// negDelete unlinks the record for a token equal to tok under hash k,
-// returning its match count.
-func (j *JoinNode) negDelete(k uint64, tok *Token) (count int, found bool) {
-	head, ok := j.negIndex[k]
-	if !ok {
-		return 0, false
-	}
-	prev := int32(-1)
-	for i := head; i >= 0; i = j.negEntries[i].next {
-		if j.negEntries[i].rec.tok.EqualTo(tok) {
-			count = j.negEntries[i].rec.count
-			next := j.negEntries[i].next
-			if prev < 0 {
-				if next < 0 {
-					delete(j.negIndex, k)
-				} else {
-					j.negIndex[k] = next
-				}
-			} else {
-				j.negEntries[prev].next = next
-			}
-			j.negEntries[i] = negEntry{next: j.negFree}
-			j.negFree = i
-			return count, true
-		}
-		prev = i
-	}
-	return 0, false
-}
-
-type negRecord struct {
-	tok   *Token
-	count int
-}
+func (r *negRec) linkAt(int) (*link[negRec], *int32) { return &r.link, &r.bucket }
 
 // JoinNode is a two-input node: left input a beta memory (or the dummy
 // top), right input an alpha memory. A positive node emits extended
@@ -572,9 +549,10 @@ type JoinNode struct {
 	Right *AlphaMem
 	Tests []JoinTest
 	Out   *BetaMem
-	// negRecords holds the left tokens with match counts (not-nodes
-	// without an equality key; indexed not-nodes use negIndex instead).
-	negRecords []*negRecord
+	// negList holds the left records of a not-node without an equality
+	// key, in arrival order (right activations visit them in that
+	// order); indexed not-nodes bucket them in negIdx instead.
+	negList []*negRec
 	// Hash-join state, filled by Network.prepare when Tests contains at
 	// least one equality test: leftHash/rightHash compute the join key
 	// hash of a token/WME, and leftIdx/rightIdx are the opposite
@@ -584,24 +562,20 @@ type JoinNode struct {
 	rightHash func(*ops5.WME) uint64
 	leftIdx   *betaIndex
 	rightIdx  *alphaIndex
-	// leftScratch/rightScratch are this node's probe buffers, reused
-	// across activations so bucket collection does not allocate. Safe
-	// to reuse: the network is a DAG, so a node is never re-activated
-	// while one of its own probes is still being iterated.
-	leftScratch  []*Token
-	rightScratch []*ops5.WME
-	// negIndex holds an indexed not-node's left records bucketed by
-	// join key hash; negCount tracks their number for StateSize.
-	// Buckets are chains through negEntries storing records by value
-	// (chained int32 entries with a free list), so steady-state upkeep
-	// allocates nothing. Entries are only appended on this node's own
-	// left activation, which never nests inside an iteration of the
-	// same node's chains (propagation flows strictly downstream), so
-	// pointers into negEntries taken during a walk stay valid.
-	negIndex   map[uint64]int32
-	negEntries []negEntry
-	negFree    int32
-	negCount   int
+	// rightScratch is this node's alpha-bucket probe buffer and
+	// kidScratch collects the children a removal unlinks; both are reused
+	// across activations so they do not allocate. Safe to reuse: the
+	// network is a DAG, so a node is never re-activated while one of its
+	// own activations is still running.
+	rightScratch []*wmeRec
+	kidScratch   []*tokRec
+	// negIdx buckets an indexed not-node's left records by join key
+	// hash; negCount tracks their number for StateSize. Records are only
+	// linked on this node's own left activation, which never nests
+	// inside a walk of the same node's buckets (propagation flows
+	// strictly downstream).
+	negIdx   *chains[negRec, *negRec]
+	negCount int
 	// compiled, when non-nil, is the closure-specialised test chain.
 	compiled func(*Token, *ops5.WME) bool
 	// SharedBy counts the productions compiled onto this node.
@@ -609,7 +583,7 @@ type JoinNode struct {
 	// Prof accumulates the node's activation work for live hot-node
 	// profiling; only the serial runtime writes it.
 	Prof NodeProf
-	// Mu guards negRecords in the parallel runtime only.
+	// Mu guards the node in the parallel runtime only.
 	Mu sync.Mutex
 }
 
@@ -629,72 +603,6 @@ type Terminal struct {
 	Production *ops5.Production
 	// posIndex maps token position -> LHS condition-element index.
 	posIndex []int
-	// live caches the instantiation of each token currently in the
-	// conflict set, keyed by token identity hash (chains re-verified
-	// with EqualTo), so removals don't rebuild variable bindings. Only
-	// the serial runtime touches it; the parallel runtime calls
-	// Instantiate directly, which stays pure. Chained int32 entries
-	// with a free list keep steady-state upkeep allocation-free.
-	live        map[uint64]int32
-	liveEntries []liveInst
-	liveFree    int32
-}
-
-// liveInst pairs a live token with its cached instantiation; next links
-// the hash chain (-1 ends it; free-listed entries reuse it as the free
-// link).
-type liveInst struct {
-	tok  *Token
-	inst *ops5.Instantiation
-	next int32
-}
-
-// liveAdd caches inst for tok in the terminal's live map.
-func (t *Terminal) liveAdd(k uint64, tok *Token, inst *ops5.Instantiation) {
-	head, ok := t.live[k]
-	if !ok {
-		head = -1
-	}
-	var i int32
-	if t.liveFree >= 0 {
-		i = t.liveFree
-		t.liveFree = t.liveEntries[i].next
-		t.liveEntries[i] = liveInst{tok: tok, inst: inst, next: head}
-	} else {
-		i = int32(len(t.liveEntries))
-		t.liveEntries = append(t.liveEntries, liveInst{tok: tok, inst: inst, next: head})
-	}
-	t.live[k] = i
-}
-
-// liveTake removes and returns the cached instantiation for a token
-// equal to tok, or nil when none is cached.
-func (t *Terminal) liveTake(k uint64, tok *Token) *ops5.Instantiation {
-	head, ok := t.live[k]
-	if !ok {
-		return nil
-	}
-	prev := int32(-1)
-	for i := head; i >= 0; i = t.liveEntries[i].next {
-		if t.liveEntries[i].tok.EqualTo(tok) {
-			inst := t.liveEntries[i].inst
-			next := t.liveEntries[i].next
-			if prev < 0 {
-				if next < 0 {
-					delete(t.live, k)
-				} else {
-					t.live[k] = next
-				}
-			} else {
-				t.liveEntries[prev].next = next
-			}
-			t.liveEntries[i] = liveInst{next: t.liveFree}
-			t.liveFree = i
-			return inst
-		}
-		prev = i
-	}
-	return nil
 }
 
 // Instantiate builds the instantiation for a complete token. Variable
@@ -736,6 +644,14 @@ type Network struct {
 	// Stats accumulates match statistics across Apply calls.
 	Stats Stats
 
+	// ctx is the per-change bookkeeping, one per network, reset
+	// between changes.
+	ctx applyCtx
+	// toks, negs and wrecs recycle removed records.
+	toks  recycler[tokRec]
+	negs  recycler[negRec]
+	wrecs recycler[wmeRec]
+
 	started  bool
 	prepared bool
 	seq      int64
@@ -749,7 +665,7 @@ func New() *Network {
 		joinByKey:  make(map[string]*JoinNode),
 	}
 	n.dummyTop = n.newBetaMem()
-	n.dummyTop.insert(&Token{})
+	n.dummyTop.store(&tokRec{})
 	return n
 }
 
@@ -921,7 +837,7 @@ func (n *Network) buildAlpha(p *ops5.Production, ceIdx int, ce *ops5.CondElement
 		n.alphas = append(n.alphas, am)
 		cur.Mem = am
 	}
-	am.ProdRefs = append(am.ProdRefs, ProdRef{Production: p, CE: ceIdx})
+	am.ProdRefs = append(am.ProdRefs, ProdRef{Production: p, CE: ceIdx, ord: len(n.prods)})
 	return am, local, nil
 }
 

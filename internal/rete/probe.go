@@ -88,17 +88,13 @@ func (n *Network) Counts() NodeCounts {
 func (n *Network) StateSize() int {
 	size := 0
 	for _, am := range n.alphas {
-		size += len(am.Items)
+		size += len(am.recs)
 	}
 	for _, bm := range n.betas {
-		size += len(bm.Tokens)
+		size += len(bm.recs)
 	}
 	for _, j := range n.joins {
-		if j.negIndex != nil {
-			size += j.negCount
-		} else {
-			size += len(j.negRecords)
-		}
+		size += j.negCount + len(j.negList)
 	}
 	// The dummy top's permanent empty token is not match state.
 	return size - 1

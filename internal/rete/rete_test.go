@@ -271,11 +271,11 @@ func TestInsertDeleteRestoresMemories(t *testing.T) {
 	}
 	alphaCounts := make([]int, len(n.Alphas()))
 	for i, am := range n.Alphas() {
-		alphaCounts[i] = len(am.Items)
+		alphaCounts[i] = am.Len()
 	}
 	betaCounts := make([]int, len(n.Betas()))
 	for i, bm := range n.Betas() {
-		betaCounts[i] = len(bm.Tokens)
+		betaCounts[i] = bm.Len()
 	}
 	csBefore := tr.Keys()
 
@@ -287,13 +287,13 @@ func TestInsertDeleteRestoresMemories(t *testing.T) {
 	}
 
 	for i, am := range n.Alphas() {
-		if len(am.Items) != alphaCounts[i] {
-			t.Errorf("alpha %d: items = %d, want %d", am.ID, len(am.Items), alphaCounts[i])
+		if am.Len() != alphaCounts[i] {
+			t.Errorf("alpha %d: items = %d, want %d", am.ID, am.Len(), alphaCounts[i])
 		}
 	}
 	for i, bm := range n.Betas() {
-		if len(bm.Tokens) != betaCounts[i] {
-			t.Errorf("beta %d: tokens = %d, want %d", bm.ID, len(bm.Tokens), betaCounts[i])
+		if bm.Len() != betaCounts[i] {
+			t.Errorf("beta %d: tokens = %d, want %d", bm.ID, bm.Len(), betaCounts[i])
 		}
 	}
 	if d := matchtest.Diff(csBefore, tr.Keys()); d != "" {

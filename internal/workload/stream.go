@@ -12,6 +12,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"sort"
+
+	"repro/internal/ops5"
+	"repro/internal/sym"
 )
 
 // FraudRules is the fraud-detection pack: velocity checks over expiring
@@ -78,6 +82,44 @@ func NDJSON(events []Event) []byte {
 		}
 	}
 	return buf.Bytes()
+}
+
+// Facts converts events into one insert batch, the in-process
+// counterpart of the stream endpoint's decoding: each event becomes a
+// fact of its class with its attributes (strings as symbols, numbers as
+// numbers, in sorted attribute order) plus ^__ttl when TTL is set. It
+// also returns the batch's largest timestamp, the clock an ingest of the
+// batch advances to before asserting it.
+func Facts(events []Event) (changes []ops5.Change, maxTS int64) {
+	changes = make([]ops5.Change, 0, len(events))
+	for _, ev := range events {
+		if ev.TS > maxTS {
+			maxTS = ev.TS
+		}
+		attrs := make([]string, 0, len(ev.Attrs))
+		for k := range ev.Attrs {
+			attrs = append(attrs, k)
+		}
+		sort.Strings(attrs)
+		fields := make([]ops5.Field, 0, len(attrs)+1)
+		for _, k := range attrs {
+			var v ops5.Value
+			switch x := ev.Attrs[k].(type) {
+			case string:
+				v = ops5.Sym(x)
+			case float64:
+				v = ops5.Num(x)
+			default:
+				panic(fmt.Sprintf("workload: event attr %s: unsupported type %T", k, x))
+			}
+			fields = append(fields, ops5.Field{Attr: sym.Intern(k), Val: v})
+		}
+		if ev.TTL > 0 {
+			fields = append(fields, ops5.Field{Attr: ops5.TTLAttr, Val: ops5.Num(float64(ev.TTL))})
+		}
+		changes = append(changes, ops5.Change{Kind: ops5.Insert, WME: ops5.NewFact(sym.Intern(ev.Class), fields)})
+	}
+	return changes, maxTS
 }
 
 // FraudParams configures the fraud-detection event generator.
